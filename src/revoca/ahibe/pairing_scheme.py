@@ -25,6 +25,7 @@ context anyway. The holder root is what the scheme hides.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 from ..pairing import (
@@ -150,13 +151,21 @@ def delegate(hk, identity, rng: RandomBytes):
     )
 
 
+@functools.lru_cache(maxsize=4)
+def _decode_public(u10: bytes, u11: bytes, u20: bytes, u21: bytes, omega: bytes):
+    """The public params' group elements, decoded and checked once per params."""
+    return (g1_from_bytes(u10), g1_from_bytes(u11), g1_from_bytes(u20), g1_from_bytes(u21), gt_from_bytes(omega))
+
+
 def _encap_with_scalar(mpp, identity, s: int):
     from . import EncapHeader
 
+    fields = mpp.fields
+    u10, u11, u20, u21, omega = _decode_public(*(fields[k] for k in ("u10", "u11", "u20", "u21", "omega")))
     h1 = _root_exponent(identity.root)
     tau = _day_exponent(identity.day)
-    f1 = g1_add(g1_from_bytes(mpp.fields["u10"]), g1_mul(g1_from_bytes(mpp.fields["u11"]), h1))
-    f2 = g1_add(g1_from_bytes(mpp.fields["u20"]), g1_mul(g1_from_bytes(mpp.fields["u21"]), tau))
+    f1 = g1_add(u10, g1_mul(u11, h1))
+    f2 = g1_add(u20, g1_mul(u21, tau))
     header = EncapHeader(
         scheme_id=SCHEME_ID,
         fields={
@@ -165,7 +174,7 @@ def _encap_with_scalar(mpp, identity, s: int):
             "c2": g1_to_bytes(g1_mul(f2, s)),
         },
     )
-    shared = gt_pow(gt_from_bytes(mpp.fields["omega"]), s)
+    shared = gt_pow(omega, s)
     return header, _kem_key(shared, header)
 
 

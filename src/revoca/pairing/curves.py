@@ -10,6 +10,7 @@ the x coordinate, sign = lexicographically larger y).
 from __future__ import annotations
 
 from .fields import (
+    BLS_X,
     P,
     R,
     FQ2_ZERO,
@@ -125,7 +126,7 @@ def _g1_jac_add(pt, x2, y2):
         return _g1_jac_double(pt)
     H = (U2 - X1) % P
     if H == 0:
-        return (1, 1, 0)  # infinity
+        return None  # infinity
     HH = H * H % P
     I = 4 * HH % P
     J = H * I % P
@@ -148,8 +149,25 @@ def _g1_jac_to_affine(pt):
     return (X * zi2 % P, Y * zi2 % P * zi % P)
 
 
+# phi(x, y) = (beta*x, y) acts on G1 as multiplication by -x^2 mod R (x the
+# BLS parameter) for one of the two primitive cube roots of unity beta in Fq
+_OMEGA = pow(2, (P - 1) // 3, P)  # 2 is not a cube mod P
+_BETA = next(
+    b
+    for b in (_OMEGA, _OMEGA * _OMEGA % P)
+    if g1_mul(g1_mul(G1_GEN, BLS_X), BLS_X) == (b * G1_GEN[0] % P, -G1_GEN[1] % P)
+)
+
+
 def g1_in_subgroup(pt) -> bool:
-    return g1_is_on_curve(pt) and g1_mul(pt, R) is None
+    """Membership of an affine point in G1: on the curve and phi(P) == -[x^2]P,
+    two multiplications by |x| (Scott, ePrint 2021/1130)."""
+    if pt is None:
+        return True
+    if not g1_is_on_curve(pt):
+        return False
+    x, y = pt
+    return g1_mul(g1_mul(pt, BLS_X), BLS_X) == (_BETA * x % P, -y % P)
 
 
 # G2: Fq2 coordinate tuples
@@ -184,10 +202,6 @@ def g2_add(p1, p2):
         lam = fq2_mul(fq2_sub(y2, y1), fq2_inv(fq2_sub(x2, x1)))
     x3 = fq2_sub(fq2_sub(fq2_sqr(lam), x1), x2)
     return (x3, fq2_sub(fq2_mul(lam, fq2_sub(x1, x3)), y1))
-
-
-def g2_double(pt):
-    return g2_add(pt, pt)
 
 
 def g2_mul(pt, k: int):
@@ -228,7 +242,7 @@ def _g2_jac_add(pt, x2, y2):
         return _g2_jac_double(pt)
     H = fq2_sub(U2, X1)
     if H == FQ2_ZERO:
-        return ((1, 0), (1, 0), FQ2_ZERO)
+        return None  # infinity
     HH = fq2_sqr(H)
     I = fq2_scalar(HH, 4)
     J = fq2_mul(H, I)

@@ -4,6 +4,14 @@ Fq2 = Fq[u]/(u^2+1), Fq6 = Fq2[v]/(v^3 - (1+u)), Fq12 = Fq6[w]/(w^2 - v).
 Elements are plain ints (Fq) and nested tuples (Fq2/Fq6/Fq12); everything is
 a free function. Tuples keep the hot loops fast under CPython while staying
 obvious to read.
+
+Besides the generic Fq12 product and square there are three special cases
+the pairing lives on: `fq12_mul_014`, the product with a Miller-loop line
+(three nonzero Fq2 coefficients); `fq12_cyclotomic_sqr`, the Granger-Scott
+square for elements of the cyclotomic subgroup (Fq12 read as a cubic
+extension of Fq4 = Fq2[w^3]); and the Frobenius maps `fq12_frob` and
+`fq12_frob2`. `fq12_pow_cyclotomic` is the one exponentiation routine of the
+target group: the final exponentiation's hard part and `gt_pow` both use it.
 """
 
 from __future__ import annotations
@@ -199,17 +207,100 @@ def fq12_conj(x):
     return (x[0], fq6_neg(x[1]))
 
 
-# Frobenius^2 constants: basis element v^j w^k picks up xi^((q^2-1)(2j+k)/6)
-_GAMMA = fq2_pow(XI, (P * P - 1) // 6)
-_GAMMA_POWERS = [FQ2_ONE]
-for _ in range(5):
-    _GAMMA_POWERS.append(fq2_mul(_GAMMA_POWERS[-1], _GAMMA))
+def fq12_mul_014(x, l0, l1, l4):
+    """x * l for the sparse l = ((l0, l1, 0), (0, l4, 0)), a Miller-loop line.
+
+    Karatsuba over Fq12 = Fq6[w] with both halves of l sparse: 13 Fq2
+    products instead of the 18 of `fq12_mul`.
+    """
+    a, b = x
+    t0 = _fq6_mul_01(a, l0, l1)
+    b0, b1, b2 = b
+    t1 = (fq2_mul_xi(fq2_mul(b2, l4)), fq2_mul(b0, l4), fq2_mul(b1, l4))  # b * l4*v
+    c1 = fq6_sub(_fq6_mul_01(fq6_add(a, b), l0, fq2_add(l1, l4)), fq6_add(t0, t1))
+    return (fq6_add(t0, fq6_mul_v(t1)), c1)
+
+
+def _fq6_mul_01(a, x0, x1):
+    # a * (x0 + x1*v)
+    a0, a1, a2 = a
+    t0 = fq2_mul(a0, x0)
+    t1 = fq2_mul(a1, x1)
+    return (
+        fq2_add(t0, fq2_mul_xi(fq2_mul(a2, x1))),
+        fq2_sub(fq2_mul(fq2_add(a0, a1), fq2_add(x0, x1)), fq2_add(t0, t1)),
+        fq2_add(t1, fq2_mul(a2, x0)),
+    )
+
+
+def _fq4_sqr(x0, x1):
+    """(x0 + x1*t)^2 in Fq4 = Fq2[t]/(t^2 - xi), coefficients left unreduced."""
+    a, b = x0
+    c, d = x1
+    s = (c + d) * (c - d)  # x1^2 = (s, 2cd); xi * x1^2 = (s - 2cd, s + 2cd)
+    cd = 2 * c * d
+    ac = a * c
+    bd = b * d
+    return (
+        ((a + b) * (a - b) + s - cd, 2 * a * b + s + cd),
+        (2 * (ac - bd), 2 * ((a + b) * (c + d) - ac - bd)),
+    )
+
+
+def fq12_cyclotomic_sqr(x):
+    """x^2 for x in the cyclotomic subgroup (Granger-Scott, PKC 2010).
+
+    With t = w^3, x = A + B*w + C*w^2 over Fq4 = Fq2[t], and then
+    x^2 = (3A^2 - 2conj(A)) + (3t*C^2 + 2conj(B))*w + (3B^2 - 2conj(C))*w^2,
+    where conj negates the t part: three Fq4 squares in place of a full
+    Fq12 square. Wrong for elements outside the subgroup.
+    """
+    (c00, c01, c02), (c10, c11, c12) = x
+    a0, a1 = _fq4_sqr(c00, c11)  # A = c00 + c11*t
+    b0, b1 = _fq4_sqr(c10, c02)  # B = c10 + c02*t
+    d0, d1 = _fq4_sqr(c01, c12)  # C = c01 + c12*t
+    return (
+        (
+            ((3 * a0[0] - 2 * c00[0]) % P, (3 * a0[1] - 2 * c00[1]) % P),
+            ((3 * b0[0] - 2 * c01[0]) % P, (3 * b0[1] - 2 * c01[1]) % P),
+            ((3 * d0[0] - 2 * c02[0]) % P, (3 * d0[1] - 2 * c02[1]) % P),
+        ),
+        (
+            ((3 * (d1[0] - d1[1]) + 2 * c10[0]) % P, (3 * (d1[0] + d1[1]) + 2 * c10[1]) % P),
+            ((3 * a1[0] + 2 * c11[0]) % P, (3 * a1[1] + 2 * c11[1]) % P),
+            ((3 * b1[0] + 2 * c12[0]) % P, (3 * b1[1] + 2 * c12[1]) % P),
+        ),
+    )
+
+
+# Frobenius constants: the basis element v^j w^k = w^(2j+k) picks up
+# xi^((q^n-1)(2j+k)/6) under f -> f^(q^n)
+def _frobenius_constants(n: int) -> list:
+    gamma = fq2_pow(XI, (P**n - 1) // 6)
+    powers = [FQ2_ONE]
+    for _ in range(5):
+        powers.append(fq2_mul(powers[-1], gamma))
+    return powers
+
+
+_FROB1 = _frobenius_constants(1)
+_FROB2 = _frobenius_constants(2)
+
+
+def fq12_frob(x):
+    """f -> f^q: conjugate every Fq2 coefficient, then scale it."""
+    (c00, c01, c02), (c10, c11, c12) = x
+    g = _FROB1
+    return (
+        (fq2_conj(c00), fq2_mul(fq2_conj(c01), g[2]), fq2_mul(fq2_conj(c02), g[4])),
+        (fq2_mul(fq2_conj(c10), g[1]), fq2_mul(fq2_conj(c11), g[3]), fq2_mul(fq2_conj(c12), g[5])),
+    )
 
 
 def fq12_frob2(x):
     """f -> f^(q^2). Fq2 coefficients are fixed by Frobenius squared."""
     (c00, c01, c02), (c10, c11, c12) = x
-    g = _GAMMA_POWERS
+    g = _FROB2
     return (
         (c00, fq2_mul(c01, g[2]), fq2_mul(c02, g[4])),
         (fq2_mul(c10, g[1]), fq2_mul(c11, g[3]), fq2_mul(c12, g[5])),
@@ -236,9 +327,9 @@ def fq12_pow_cyclotomic(x, e: int):
     neg = e < 0
     digits = _naf(abs(e))
     x_conj = fq12_conj(x)
-    result = FQ12_ONE
-    for d in reversed(digits):
-        result = fq12_sqr(result)
+    result = x  # the leading NAF digit is 1
+    for d in reversed(digits[:-1]):
+        result = fq12_cyclotomic_sqr(result)
         if d == 1:
             result = fq12_mul(result, x)
         elif d == -1:

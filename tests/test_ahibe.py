@@ -76,6 +76,16 @@ class TestKemCorrectness:
             det_header, det_key = ahibe.det_encap(mpp, identity, bytes([i % 256]) * 32)
             assert ahibe.decap(dk, det_header) == det_key
 
+    def test_standard_det_encap_known_answer(self):
+        # fixed by the affine Miller loop and the generic final exponentiation
+        rng = _rng(2025)
+        mpp, msk = ahibe.setup("standard", rng)
+        identity = ahibe.IdentityPath("holder-kat", 3)
+        header, key = ahibe.det_encap(mpp, identity, b"\x07" * 32)
+        assert key.hex() == "f9543afae8255c9836caa524ff4a6c0c52f0f836f6620b7f3d6ceaee537926f4"
+        dk = ahibe.delegate(ahibe.extract(msk, "holder-kat", rng), 3, rng)
+        assert ahibe.decap(dk, header) == key
+
     def test_randomized_encap_gives_fresh_headers(self, world):
         _, mpp, msk, rng = world
         identity = ahibe.IdentityPath("holder-r", 4)

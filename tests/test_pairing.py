@@ -1,7 +1,17 @@
+import dataclasses
+import hashlib
 import random
 
 import pytest
 
+from oracles import (
+    final_exponentiation_oracle,
+    g1_in_subgroup_oracle,
+    miller_loop_oracle,
+    pairing_product_oracle,
+)
+
+from revoca import ahibe
 from revoca.pairing import (
     BLS_X,
     G1_GEN,
@@ -28,19 +38,69 @@ from revoca.pairing import (
     pairing,
     pairing_product,
 )
+from revoca.pairing.curves import g1_is_on_curve
 from revoca.pairing.fields import (
     FQ12_ONE,
     FQ2_ONE,
+    FQ2_ZERO,
+    fq_sqrt,
+    fq2_add,
     fq2_inv,
     fq2_mul,
     fq2_sqrt,
     fq2_sqr,
+    fq12_conj,
+    fq12_cyclotomic_sqr,
+    fq12_frob,
     fq12_inv,
     fq12_mul,
+    fq12_mul_014,
     fq12_frob2,
+    fq12_sqr,
 )
+from revoca.pairing.pairing import miller_loop_product
 
 rng = random.Random(2024)
+
+# sha256 of gt_to_bytes(e(G1_GEN, G2_GEN)), fixed by the affine Miller loop and
+# the generic final exponentiation; a chain computing the cube would differ
+E_GEN_SHA256 = "4b4c07e7d5136bb2947bab11cf26a740cd2aeef4baf3e6f773bfadb5e505f8b4"
+# |E(Fq)| = G1_COFACTOR * R and |E'(Fq2)| = G2_COFACTOR * R
+G1_COFACTOR = (BLS_X + 1) ** 2 // 3
+G2_COFACTOR = 0x5D543A95414E7F1091D50792876A202CD91DE4547085ABAA68A205B2E5A7DDFA628F1CB4D9E82EF21537E293A6691AE1616EC6E786F0C70CF1C38E31C7238E5
+
+
+def _random_fq12(r):
+    return tuple(tuple((r.randrange(P), r.randrange(P)) for _ in range(3)) for _ in range(2))
+
+
+def _random_g1_curve_point(r):
+    """A uniformly random point of E(Fq); almost never in G1."""
+    while True:
+        x = r.randrange(P)
+        y = fq_sqrt((x * x * x + 4) % P)
+        if y is not None:
+            return (x, y)
+
+
+def _random_g2_curve_point(r):
+    while True:
+        x = (r.randrange(P), r.randrange(P))
+        y = fq2_sqrt(fq2_add(fq2_mul(fq2_sqr(x), x), (4, 4)))
+        if y is not None:
+            return (x, y)
+
+
+def _torsion_point(mul, pt, order, ell):
+    """A point of order exactly `ell` in the group generated by `pt`, or None."""
+    while order % ell == 0:
+        order //= ell
+    q = mul(pt, order)
+    for _ in range(3):  # ell^2 is the highest power of 11 or 13 in the cofactors
+        if q is None or mul(q, ell) is None:
+            return q
+        q = mul(q, ell)
+    return None
 
 
 def test_curve_relations():
@@ -73,6 +133,31 @@ def test_fq12_inverse_and_frobenius():
     for _ in range(6):
         f = fq12_frob2(f)
     assert f == e
+    x = _random_fq12(random.Random(11))
+    assert fq12_frob(fq12_frob(x)) == fq12_frob2(x)
+    assert fq12_frob(e) == gt_pow(e, P)
+
+
+def test_sparse_line_product_matches_dense():
+    r = random.Random(12)
+    for _ in range(5):
+        f = _random_fq12(r)
+        l0, l1, l4 = ((r.randrange(P), r.randrange(P)) for _ in range(3))
+        dense = ((l0, l1, FQ2_ZERO), (FQ2_ZERO, l4, FQ2_ZERO))
+        assert fq12_mul_014(f, l0, l1, l4) == fq12_mul(f, dense)
+
+
+def test_cyclotomic_square_matches_generic_square_on_gt():
+    r = random.Random(13)
+    e = pairing(G1_GEN, G2_GEN)
+    for _ in range(5):
+        g = gt_pow(e, r.randrange(1, R))
+        assert fq12_cyclotomic_sqr(g) == fq12_sqr(g)
+    # any element after the easy part of the final exponentiation qualifies
+    x = _random_fq12(r)
+    x = fq12_mul(fq12_conj(x), fq12_inv(x))
+    x = fq12_mul(fq12_frob2(x), x)
+    assert fq12_cyclotomic_sqr(x) == fq12_sqr(x)
 
 
 class TestGroups:
@@ -100,6 +185,40 @@ class TestGroups:
         # standard compressed encoding of the G1 generator
         assert g1_to_bytes(G1_GEN).hex().startswith("97f1d3a73197d794")
 
+    def test_g1_subgroup_check_matches_oracle(self):
+        r = random.Random(14)
+        points = [_random_g1_curve_point(r) for _ in range(12)]
+        points += [g1_mul(G1_GEN, r.randrange(1, R)) for _ in range(3)]
+        points.append(g1_add(points[0], points[-1]))
+        for pt in points:
+            assert g1_is_on_curve(pt)
+            assert g1_in_subgroup(pt) == g1_in_subgroup_oracle(pt)
+        assert sum(map(g1_in_subgroup, points)) == 3
+
+    def test_small_order_points_rejected(self):
+        r = random.Random(15)
+        order3 = (0, 2)
+        assert g1_mul(order3, 3) is None and g1_mul(order3, 4) == order3
+        order11 = _torsion_point(g1_mul, _random_g1_curve_point(r), G1_COFACTOR * R, 11)
+        order13 = _torsion_point(g2_mul, _random_g2_curve_point(r), G2_COFACTOR * R, 13)
+        assert order11 is not None and order13 is not None
+        for pt in (order3, g1_neg(order3), order11):
+            assert not g1_in_subgroup(pt) and not g1_in_subgroup_oracle(pt)
+            with pytest.raises(PointDecodeError):
+                g1_from_bytes(g1_to_bytes(pt))
+        assert g2_mul(order13, 14) == order13
+        assert not g2_in_subgroup(order13)
+        with pytest.raises(PointDecodeError):
+            g2_from_bytes(g2_to_bytes(order13))
+        # day-key points are decoded unchecked: a small-order one must fail
+        # the key probe, not raise
+        rb = random.Random(16).randbytes
+        mpp, msk = ahibe.setup("standard", rb)
+        dk = ahibe.delegate(ahibe.extract(msk, "holder-t", rb), 3, rb)
+        for name in ("b0", "b1", "b2"):
+            forged = dataclasses.replace(dk, key_material={**dk.key_material, name: g2_to_bytes(order13)})
+            assert not ahibe.probe_key(mpp, ahibe.IdentityPath("holder-t", 3), forged, rb)
+
     def test_decode_rejects_garbage(self):
         with pytest.raises(PointDecodeError):
             g1_from_bytes(b"\x00" * 48)  # missing compression flag
@@ -115,6 +234,33 @@ class TestGroups:
 
 
 class TestPairing:
+    def test_known_answer(self):
+        e = pairing(G1_GEN, G2_GEN)
+        assert hashlib.sha256(gt_to_bytes(e)).hexdigest() == E_GEN_SHA256
+
+    def test_final_exponentiation_matches_oracle(self):
+        r = random.Random(16)
+        inputs = [_random_fq12(r) for _ in range(3)]
+        pairs = [(g1_mul(G1_GEN, r.randrange(1, R)), g2_mul(G2_GEN, r.randrange(1, R)))]
+        inputs += [miller_loop_oracle(pairs), miller_loop_product(pairs)]
+        for f in inputs:
+            assert final_exponentiation(f) == final_exponentiation_oracle(f)
+
+    def test_pairing_product_matches_oracle(self):
+        r = random.Random(17)
+        g1 = [g1_mul(G1_GEN, r.randrange(1, R)) for _ in range(3)]
+        g2 = [g2_mul(G2_GEN, r.randrange(1, R)) for _ in range(3)]
+        cases = [
+            list(zip(g1, g2)),
+            [(g1[0], g2[0]), (None, g2[1]), (g1_neg(g1[2]), g2[2])],
+            [(g1[1], None), (G1_GEN, G2_GEN)],
+            [(None, g2[0])],
+            # a twist point outside G2, as an unchecked day key can be
+            [(g1[0], _random_g2_curve_point(r)), (g1[1], g2[1])],
+        ]
+        for pairs in cases:
+            assert pairing_product(pairs) == pairing_product_oracle(pairs)
+
     def test_nondegenerate_and_order_r(self):
         e = pairing(G1_GEN, G2_GEN)
         assert e != FQ12_ONE
