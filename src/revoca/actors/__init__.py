@@ -1,4 +1,5 @@
-"""The four protocol roles: key authority, issuer, holder wallet, verifier."""
+"""The protocol roles: issuer, holder wallet, verifier. The key authority's
+two operations are `ahibe.setup` and `ahibe.extract`."""
 
 from .credentials import (  # noqa: F401
     NONCE_LEN,
@@ -9,7 +10,6 @@ from .credentials import (  # noqa: F401
     pop_payload,
     sign_credential,
 )
-from .pkg_role import pkg_extract, pkg_setup  # noqa: F401
 from .issuer import (  # noqa: F401
     CredentialRecord,
     IssuerState,
@@ -35,7 +35,6 @@ from .holder import (  # noqa: F401
     holder_store,
 )
 from .verifier import (  # noqa: F401
-    NO_REVOCATION_FOUND,
     BadProofOfPossession,
     BadSignature,
     CheckDigestNotFound,

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 from typing import Mapping, Tuple
 
 from .. import ahibe
-from ..encoding import b64u_decode, canonical_decode, canonical_encode
+from ..encoding import CanonicalDecodeError, b64u_decode, canonical_decode, canonical_encode, write_atomic
 from ..primitives import sign, vc_id_from_hex, vc_id_hex, verify
 
 NONCE_LEN = 16
@@ -32,17 +31,10 @@ class VerifiableCredential:
             raise ValueError("credential expires before it is issued")
 
     def signed_payload(self) -> bytes:
-        return canonical_encode(
-            {
-                "vc_id": vc_id_hex(self.vc_id),
-                "root": self.root,
-                "issued_day": self.issued_day,
-                "expiry_day": self.expiry_day,
-                "claims": dict(self.claims),
-                "pop_public_key": self.pop_public_key,
-                "issuer_id": self.issuer_id,
-            }
-        )
+        """The record without its signature."""
+        rec = self.to_record()
+        del rec["issuer_signature"]
+        return canonical_encode(rec)
 
     def verify_signature(self, issuer_public_key: bytes) -> bool:
         return verify(issuer_public_key, self.signed_payload(), self.issuer_signature)
@@ -152,7 +144,11 @@ class Presentation:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Presentation":
-        return cls.from_record(canonical_decode(data))
+        """Decode untrusted bytes; every malformed shape is a CanonicalDecodeError."""
+        try:
+            return cls.from_record(canonical_decode(data))
+        except (LookupError, TypeError, AttributeError, ValueError) as exc:
+            raise CanonicalDecodeError(f"malformed presentation: {exc}") from exc
 
 
 class TrustStore:
@@ -176,10 +172,7 @@ class TrustStore:
         return cls({issuer: b64u_decode(pk) for issuer, pk in rec["issuers"].items()})
 
     def save(self, path) -> None:
-        tmp = f"{path}.tmp"
-        with open(tmp, "wb") as fh:
-            fh.write(self.to_bytes())
-        os.replace(tmp, path)
+        write_atomic(path, self.to_bytes())
 
     @classmethod
     def load(cls, path) -> "TrustStore":

@@ -6,24 +6,22 @@ its seed and delegates day keys from its holder key entirely offline.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Dict, List, Mapping
 
 from .. import ahibe
-from ..encoding import b64u_decode, canonical_decode, canonical_encode
+from ..encoding import b64u_decode, canonical_decode, canonical_encode, write_atomic
 from ..primitives import (
     RandomBytes,
     compute_check_digest,
     default_rng,
     derive_day_token,
-    index_from_ciphertext,
     sign,
     signing_public_key,
     vc_id_from_hex,
     vc_id_hex,
 )
-from ..tables import RevocationTableSnapshot
+from ..tables import RevocationTableSnapshot, slot_for_digest
 from .credentials import Presentation, TemporalAuthorization, VerifiableCredential, pop_payload
 
 
@@ -77,11 +75,7 @@ class Wallet:
         return cls({vc_id_from_hex(h): WalletRecord.from_record(r) for h, r in rec["records"].items()})
 
     def save(self, path) -> None:
-        tmp = f"{path}.tmp"
-        with open(tmp, "wb") as fh:
-            fh.write(self.to_bytes())
-        os.chmod(tmp, 0o600)
-        os.replace(tmp, path)
+        write_atomic(path, self.to_bytes(), private=True)
 
     @classmethod
     def load(cls, path) -> "Wallet":
@@ -154,8 +148,6 @@ def holder_audit(
     credential = record.credential
     token = derive_day_token(record.seed, day - credential.issued_day)
     digest = compute_check_digest(token, vc_id)
-    identity = ahibe.IdentityPath(credential.root, day)
-    det_header, _ = ahibe.det_encap(mpp, identity, digest)
-    index = index_from_ciphertext(det_header.canonical_bytes(), snapshot.params.d)
+    index = slot_for_digest(mpp, credential.root, day, digest, snapshot.params)
     day_key = ahibe.delegate(record.holder_key, day, rng)
     return snapshot.scan(index, day_key, credential.root, day, vc_id)

@@ -10,19 +10,17 @@ new day's identities at freshly derived indices.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .. import ahibe
-from ..encoding import b64u_decode, canonical_decode, canonical_encode
+from ..encoding import b64u_decode, canonical_decode, canonical_encode, write_atomic
 from ..primitives import (
     RandomBytes,
     compute_check_digest,
     default_rng,
     derive_day_token,
     generate_signing_key,
-    index_from_ciphertext,
     new_seed,
     new_vc_id,
     seal,
@@ -38,6 +36,7 @@ from ..tables import (
     TableParams,
     build_check_table,
     revocation_associated_data,
+    slot_for_digest,
 )
 from .credentials import VerifiableCredential, sign_credential
 
@@ -165,10 +164,8 @@ def _build_entry(state: IssuerState, record: CredentialRecord, vc_id: bytes, doc
     """Index derivation plus payload encryption for one document on one day."""
     token = derive_day_token(record.seed, day - record.issued_day)
     digest = compute_check_digest(token, vc_id)
-    identity = ahibe.IdentityPath(record.root, day)
-    det_header, _ = ahibe.det_encap(state.mpp, identity, digest)
-    index = index_from_ciphertext(det_header.canonical_bytes(), state.params.d)
-    header, key = ahibe.encap(state.mpp, identity, state.rng)
+    index = slot_for_digest(state.mpp, record.root, day, digest, state.params)
+    header, key = ahibe.encap(state.mpp, ahibe.IdentityPath(record.root, day), state.rng)
     sealed = seal(key, document.to_bytes(), revocation_associated_data(record.root, day, vc_id), state.rng)
     return index, RevocationEntry(header=header, sealed_body=sealed)
 
@@ -269,11 +266,7 @@ def issuer_state_from_bytes(data: bytes, rng: RandomBytes = default_rng) -> Issu
 
 
 def save_issuer_state(state: IssuerState, path) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(issuer_state_to_bytes(state))
-    os.chmod(tmp, 0o600)
-    os.replace(tmp, path)
+    write_atomic(path, issuer_state_to_bytes(state), private=True)
 
 
 def load_issuer_state(path, rng: RandomBytes = default_rng) -> IssuerState:

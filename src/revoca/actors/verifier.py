@@ -21,10 +21,9 @@ from ..primitives import (
     SignatureDecodeError,
     compute_check_digest,
     default_rng,
-    index_from_ciphertext,
     verify,
 )
-from ..tables import SegmentRangeError, segment_for_digest
+from ..tables import SegmentRangeError, segment_for_digest, slot_for_digest
 from .credentials import Presentation, TrustStore, pop_payload
 
 
@@ -56,9 +55,6 @@ class SnapshotUnavailable(VerificationError):
 
 class DeferredFutureDay(VerificationError):
     code = "deferred-future-day"
-
-
-NO_REVOCATION_FOUND = ()
 
 
 @dataclass(frozen=True)
@@ -129,8 +125,7 @@ def verifier_check(
         if not present:
             raise CheckDigestNotFound(f"day token does not authenticate for day {day}")
 
-        det_header, _ = ahibe.det_encap(mpp, identity, digest)
-        index = index_from_ciphertext(det_header.canonical_bytes(), params.d)
+        index = slot_for_digest(mpp, credential.root, day, digest, params)
         try:
             table, fetched = table_source.fetch_revocation_table(day)
         except LookupError as exc:

@@ -277,14 +277,6 @@ def day_key_from_record(rec) -> DayKey:
     return DayKey(scheme_id=scheme_id, identity=IdentityPath.from_record(ident), key_material=_bytes_map_from(material))
 
 
-def day_key_to_bytes(dk: DayKey) -> bytes:
-    return canonical_encode(day_key_to_record(dk))
-
-
-def day_key_from_bytes(data: bytes) -> DayKey:
-    return day_key_from_record(_load_tagged(data, 3))
-
-
 def header_to_record(header: EncapHeader) -> list:
     return [header.scheme_id, _bytes_map_record(header.fields)]
 
@@ -294,14 +286,6 @@ def header_from_record(rec) -> EncapHeader:
     if scheme_id not in _SCHEMES:
         raise SchemeError(f"unknown scheme: {scheme_id!r}")
     return EncapHeader(scheme_id=scheme_id, fields=_bytes_map_from(fields))
-
-
-def header_to_bytes(header: EncapHeader) -> bytes:
-    return header.canonical_bytes()
-
-
-def header_from_bytes(data: bytes) -> EncapHeader:
-    return header_from_record(_load_tagged(data, 2))
 
 
 def _load_tagged(data: bytes, arity: int):

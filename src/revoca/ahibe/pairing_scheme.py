@@ -31,6 +31,7 @@ import hashlib
 from ..pairing import (
     G1_GEN,
     G2_GEN,
+    PointDecodeError,
     g1_add,
     g1_from_bytes,
     g1_mul,
@@ -46,7 +47,7 @@ from ..pairing import (
     pairing,
     pairing_product,
 )
-from ..pairing.fields import R
+from ..pairing.fields import FQ12_ONE, R, fq12_frob2, fq12_mul, fq12_pow_cyclotomic
 from ..primitives import RandomBytes, hkdf_sha256
 
 SCHEME_ID = "bw2-bls381-v1"
@@ -151,10 +152,21 @@ def delegate(hk, identity, rng: RandomBytes):
     )
 
 
+def _in_gt(x) -> bool:
+    """x lies in the order-R target group and is not 1. The first test,
+    x^(q^4+1) == x^(q^2), puts x in the cyclotomic subgroup, the only place
+    where `fq12_pow_cyclotomic` (and so `gt_pow`) computes true powers."""
+    x_q2 = fq12_frob2(x)
+    return fq12_mul(fq12_frob2(x_q2), x) == x_q2 and fq12_pow_cyclotomic(x, R) == FQ12_ONE and x != FQ12_ONE
+
+
 @functools.lru_cache(maxsize=4)
 def _decode_public(u10: bytes, u11: bytes, u20: bytes, u21: bytes, omega: bytes):
     """The public params' group elements, decoded and checked once per params."""
-    return (g1_from_bytes(u10), g1_from_bytes(u11), g1_from_bytes(u20), g1_from_bytes(u21), gt_from_bytes(omega))
+    omega_gt = gt_from_bytes(omega)
+    if not _in_gt(omega_gt):
+        raise PointDecodeError("Omega is not a target-group element other than 1")
+    return (g1_from_bytes(u10), g1_from_bytes(u11), g1_from_bytes(u20), g1_from_bytes(u21), omega_gt)
 
 
 def _encap_with_scalar(mpp, identity, s: int):

@@ -21,7 +21,7 @@ import time
 from pathlib import Path
 
 from . import actors, ahibe, service, sim
-from .encoding import canonical_decode, canonical_encode, b64u_decode
+from .encoding import canonical_decode, canonical_encode, b64u_decode, write_atomic
 from .primitives import (
     AuthFailure,
     SignatureDecodeError,
@@ -32,6 +32,7 @@ from .primitives import (
     vc_id_hex,
 )
 from .tables import (
+    REVOCATION_STATUSES,
     CorruptSnapshotError,
     IntegrityError,
     RevocationDocument,
@@ -72,14 +73,6 @@ def _fail(exc: BaseException) -> int:
     name = getattr(exc, "code", type(exc).__name__)
     print(json.dumps({"error": name, "message": str(exc)}), file=sys.stderr)
     return code
-
-
-def _write_private(path: Path, data: bytes) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_bytes(data)
-    os.chmod(tmp, 0o600)
-    os.replace(tmp, path)
 
 
 def _state_dir(args) -> Path:
@@ -126,18 +119,17 @@ def _current_day(args, client: service.TableClient) -> int:
 
 def cmd_pkg_setup(args) -> int:
     out = Path(args.out)
-    mpp, msk = actors.pkg_setup(args.scheme, default_rng)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "mpp.pub").write_bytes(ahibe.params_to_bytes(mpp))
-    _write_private(out / "msk.key", ahibe.master_secret_to_bytes(msk))
+    mpp, msk = ahibe.setup(args.scheme, default_rng)
+    write_atomic(out / "mpp.pub", ahibe.params_to_bytes(mpp))
+    write_atomic(out / "msk.key", ahibe.master_secret_to_bytes(msk), private=True)
     print(json.dumps({"scheme_id": mpp.scheme_id, "mpp": str(out / "mpp.pub"), "msk": str(out / "msk.key")}))
     return 0
 
 
 def cmd_pkg_extract(args) -> int:
     msk = ahibe.master_secret_from_bytes(Path(args.msk).read_bytes())
-    holder_key = actors.pkg_extract(msk, args.root, default_rng)
-    _write_private(Path(args.out), ahibe.holder_key_to_bytes(holder_key))
+    holder_key = ahibe.extract(msk, args.root, default_rng)
+    write_atomic(args.out, ahibe.holder_key_to_bytes(holder_key), private=True)
     print(json.dumps({"root": args.root, "holder_key": args.out}))
     return 0
 
@@ -174,7 +166,7 @@ def cmd_issuer_issue(args) -> int:
         bundle["pop_signing_key"] = pop_signing
     credential, seed = actors.issuer_issue(state, args.root, claims, args.expiry_day, pop_public)
     bundle.update({"credential": credential.to_record(), "seed": seed})
-    _write_private(Path(args.out), canonical_encode(bundle))
+    write_atomic(args.out, canonical_encode(bundle), private=True)
     store = service.PublicationStore(_public_dir(state_dir))
     actors.issuer_publish(state, store)
     _save_issuer(state_dir, state)
@@ -377,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = issuer.add_parser("revoke", help="publish revocation information for today")
     p.add_argument("--state")
     p.add_argument("--vc-id", required=True)
-    p.add_argument("--status", choices=("revoked", "suspended", "conditioned"), default="revoked")
+    p.add_argument("--status", choices=REVOCATION_STATUSES, default="revoked")
     p.add_argument("--reason", default="")
     p.add_argument("--constraints", help="JSON map of constraints")
     p.set_defaults(func=cmd_issuer_revoke)

@@ -8,12 +8,16 @@ Rules: UTF-8 JSON, lexicographically sorted keys, no insignificant
 whitespace, byte fields rendered as unpadded base64url text. Allowed value
 shapes: maps with text keys, sequences, text, integers, booleans, and bytes.
 Floats and None are rejected.
+
+`write_atomic` is the one way encoded bytes reach a file.
 """
 
 from __future__ import annotations
 
 import base64
 import json
+import os
+from pathlib import Path
 from typing import Any
 
 
@@ -75,5 +79,20 @@ def canonical_decode(data: bytes) -> Any:
     """
     try:
         return json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise CanonicalDecodeError(str(exc)) from exc
+
+
+def write_atomic(path, data: bytes, private: bool = False) -> None:
+    """Replace the file at `path` with `data` through a sibling `.tmp` file and
+    a rename, so a reader never sees a partly written file. A `private` file
+    (secrets) is mode 0600 before its first byte is written; other files get
+    the umask's mode."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    tmp = f"{path}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600 if private else 0o666)
+    with open(fd, "wb") as fh:
+        if private:
+            os.fchmod(fd, 0o600)  # a tmp left over from a crash keeps its old mode
+        fh.write(data)
+    os.replace(tmp, path)

@@ -26,7 +26,6 @@ RandomBytes = Callable[[int], bytes]
 SEED_LEN = 32
 TOKEN_LEN = 32
 VC_ID_LEN = 16
-DIGEST_LEN = 32
 NONCE_LEN = 12
 
 DAY_TOKEN_CONTEXT = b"revoca/day-token/v1"

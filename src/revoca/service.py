@@ -18,17 +18,16 @@ from __future__ import annotations
 
 import hashlib
 import http.client
-import os
 import re
 import threading
 import urllib.parse
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Optional, Tuple
 
 from . import ahibe
-from .encoding import b64u_decode, canonical_decode, canonical_encode
+from .encoding import b64u_decode, canonical_decode, canonical_encode, write_atomic
 from .primitives import sign, verify
 from .tables import (
     CheckSegment,
@@ -71,15 +70,10 @@ class PublicParamsDocument:
     signature: bytes
 
     def signed_payload(self) -> bytes:
-        return canonical_encode(
-            {
-                "mpp": ahibe.params_to_bytes(self.mpp),
-                "table_params": self.table_params.to_record(),
-                "epoch": self.epoch,
-                "granularity_seconds": self.granularity_seconds,
-                "issuer_id": self.issuer_id,
-            }
-        )
+        """The record without its signature."""
+        rec = self.to_record()
+        del rec["signature"]
+        return canonical_encode(rec)
 
     def verify_signature(self, issuer_public_key: bytes) -> bool:
         return verify(issuer_public_key, self.signed_payload(), self.signature)
@@ -136,14 +130,7 @@ def make_params_document(
         issuer_id=issuer_id,
         signature=b"",
     )
-    return PublicParamsDocument(
-        mpp=mpp,
-        table_params=table_params,
-        epoch=epoch,
-        granularity_seconds=granularity_seconds,
-        issuer_id=issuer_id,
-        signature=sign(signing_key, unsigned.signed_payload()),
-    )
+    return replace(unsigned, signature=sign(signing_key, unsigned.signed_payload()))
 
 
 class PublicationStore:
@@ -153,6 +140,8 @@ class PublicationStore:
     def __init__(self, root):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        # (day, segment) -> (file stamp, segment bytes): a republished day
+        # replaces its entries even where publish_check never runs (the server)
         self._segment_cache = {}
 
     def params_path(self) -> Path:
@@ -165,12 +154,7 @@ class PublicationStore:
         return self.root / revocation_snapshot_filename(day)
 
     def write_params(self, document: PublicParamsDocument) -> None:
-        tmp = self.params_path().with_suffix(".tmp")
-        tmp.write_bytes(document.to_bytes())
-        os.replace(tmp, self.params_path())
-
-    def read_params(self) -> PublicParamsDocument:
-        return PublicParamsDocument.from_bytes(self.params_bytes())
+        write_atomic(self.params_path(), document.to_bytes())
 
     def params_bytes(self) -> bytes:
         path = self.params_path()
@@ -202,14 +186,13 @@ class PublicationStore:
         if not path.exists():
             raise ResourceNotFound("unknown-day")
         stamp = path.stat().st_mtime_ns
-        key = (day, segment_index, stamp)
-        cached = self._segment_cache.get(key)
-        if cached is None:
+        cached_stamp, cached = self._segment_cache.get((day, segment_index), (None, None))
+        if cached_stamp != stamp:
             snapshot = read_snapshot(path)
             if segment_index < 0 or segment_index >= snapshot.params.sigma:
                 raise ResourceNotFound("unknown-segment")
             cached = snapshot.segment(segment_index).to_bytes()
-            self._segment_cache[key] = cached
+            self._segment_cache[(day, segment_index)] = (stamp, cached)
         return cached
 
     def archived_days(self) -> list:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
 from . import actors, ahibe, service
-from .encoding import canonical_decode, canonical_encode
+from .encoding import canonical_encode
 from .primitives import derive_day_token, generate_signing_key, hkdf_sha256, signing_public_key
 from .tables import REVOCATION_STATUSES, RevocationDocument, TableParams
 
@@ -172,10 +172,6 @@ class ScenarioReport:
     def to_bytes(self) -> bytes:
         return canonical_encode(self.to_record())
 
-    @classmethod
-    def record_from_bytes(cls, data: bytes) -> dict:
-        return canonical_decode(data)
-
     def render_text(self) -> str:
         checked = max(self.presentations_checked, 1)
         lines = [
@@ -223,7 +219,7 @@ def run_scenario(config: ScenarioConfig, state_dir: Optional[str] = None) -> Sce
 
     with tempfile.TemporaryDirectory() as tmp:
         store = service.PublicationStore(state_dir or tmp)
-        mpp, msk = actors.pkg_setup(config.scheme, crypto)
+        mpp, msk = ahibe.setup(config.scheme, crypto)
         issuer = actors.issuer_init(params, day=0, mpp=mpp, issuer_id="sim-issuer", rng=crypto)
         doc = service.make_params_document(mpp, params, epoch=0, granularity_seconds=86400, issuer_id="sim-issuer", signing_key=issuer.signing_key)
         store.write_params(doc)
@@ -236,7 +232,7 @@ def run_scenario(config: ScenarioConfig, state_dir: Optional[str] = None) -> Sce
         expiry = config.days + 30
         for h in range(config.holders):
             root = f"h-{h:05d}"
-            holder_keys[root] = actors.pkg_extract(msk, root, crypto)
+            holder_keys[root] = ahibe.extract(msk, root, crypto)
             for _ in range(config.vcs_per_holder):
                 pop_sk = generate_signing_key(crypto)
                 credential, seed = actors.issuer_issue(

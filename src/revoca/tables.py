@@ -11,14 +11,13 @@ return new snapshots. Files carry a version tag and a content digest.
 from __future__ import annotations
 
 import hashlib
-import os
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Optional
 
 from . import ahibe
-from .encoding import b64u_decode, canonical_decode, canonical_encode, CanonicalDecodeError
-from .primitives import AuthFailure, check_bucket, open_sealed, vc_id_from_hex, vc_id_hex
+from .encoding import b64u_decode, canonical_decode, canonical_encode, CanonicalDecodeError, write_atomic
+from .primitives import AuthFailure, check_bucket, index_from_ciphertext, open_sealed, vc_id_from_hex, vc_id_hex
 
 SNAPSHOT_VERSION = "1"
 
@@ -68,18 +67,16 @@ class TableParams:
         return cls(d=rec["d"], c=rec["c"], sigma=rec["sigma"], min_anonymity=rec["min_anonymity"])
 
 
-def recommended_sigma(expected_entries: int, c: int, min_anonymity: int = 256) -> int:
-    """Largest divisor of c keeping the expected digests per segment at or
-    above the anonymity floor."""
-    best = 1
-    for sigma in range(1, c + 1):
-        if c % sigma == 0 and expected_entries // sigma >= min_anonymity:
-            best = max(best, sigma)
-    return best
-
-
 def segment_for_digest(digest: bytes, params: TableParams) -> int:
     return check_bucket(digest, params.c) * params.sigma // params.c
+
+
+def slot_for_digest(mpp: ahibe.MasterPublicParams, root: str, day: int, digest: bytes, params: TableParams) -> int:
+    """Revocation-table slot of a credential on `day`: the index of its
+    deterministic encapsulation bound to the day's check digest. Issuer,
+    holder and verifier all derive it here, so they agree bit for bit."""
+    header, _ = ahibe.det_encap(mpp, ahibe.IdentityPath(root, day), digest)
+    return index_from_ciphertext(header.canonical_bytes(), params.d)
 
 
 @dataclass(frozen=True)
@@ -129,9 +126,7 @@ class CheckTableSnapshot:
     buckets: tuple  # c tuples of sorted digests
 
     def contains(self, digest: bytes) -> bool:
-        bucket = self.buckets[check_bucket(digest, self.params.c)]
-        pos = bisect_left(bucket, digest)
-        return pos < len(bucket) and bucket[pos] == digest
+        return self.segment(segment_for_digest(digest, self.params)).contains(digest, self.params)
 
     def segment(self, segment_index: int) -> CheckSegment:
         if not 0 <= segment_index < self.params.sigma:
@@ -319,20 +314,6 @@ class RevocationTableSnapshot:
         )
 
 
-# spec-named free functions over the snapshot methods
-
-def insert_revocation(table: RevocationTableSnapshot, index: int, entry: RevocationEntry) -> RevocationTableSnapshot:
-    return table.insert(index, entry)
-
-
-def scan_bucket(table: RevocationTableSnapshot, index: int, dk, root: str, day: int, vc_id: bytes) -> list:
-    return table.scan(index, dk, root, day, vc_id)
-
-
-def segment_contains(segment: CheckSegment, digest: bytes, params: TableParams) -> bool:
-    return segment.contains(digest, params)
-
-
 # file round trip with content-digest guard
 
 
@@ -376,11 +357,7 @@ def snapshot_from_bytes(data: bytes):
 
 
 def write_snapshot(snapshot, path) -> None:
-    data = snapshot_to_bytes(snapshot)
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
+    write_atomic(path, snapshot_to_bytes(snapshot))
 
 
 def read_snapshot(path):

@@ -41,7 +41,7 @@ class MiniWorld:
     def __init__(self, tmp_path, n_vcs, params, day=0, seed=1, expiry=500):
         self.rng = _rng(seed)
         self.params = params
-        self.mpp, self.msk = actors.pkg_setup("test", self.rng)
+        self.mpp, self.msk = ahibe.setup("test", self.rng)
         self.issuer = actors.issuer_init(params, day=day, mpp=self.mpp, issuer_id="iss", rng=self.rng)
         self.store = service.PublicationStore(tmp_path)
         self.document = service.make_params_document(self.mpp, params, 0, 86400, "iss", self.issuer.signing_key)
@@ -52,7 +52,7 @@ class MiniWorld:
         self.vcs = []
         for i in range(n_vcs):
             root = f"holder-{i:04d}"
-            hk = actors.pkg_extract(self.msk, root, self.rng)
+            hk = ahibe.extract(self.msk, root, self.rng)
             self.holder_keys[root] = hk
             pop = generate_signing_key(self.rng)
             credential, seed_bytes = actors.issuer_issue(self.issuer, root, {"i": i}, expiry, signing_public_key(pop))

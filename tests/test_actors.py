@@ -1,10 +1,16 @@
+import builtins
 import dataclasses
+import errno
+import json
+import os
 import random
 import stat
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from revoca import actors, ahibe, service
+from revoca.encoding import CanonicalDecodeError, canonical_decode
 from revoca.primitives import (
     compute_check_digest,
     derive_day_token,
@@ -28,7 +34,7 @@ class World:
 
     def __init__(self, tmp_path, n=3, day=100, rng_seed=5):
         self.rng = _rng(rng_seed)
-        self.mpp, self.msk = actors.pkg_setup("test", self.rng)
+        self.mpp, self.msk = ahibe.setup("test", self.rng)
         self.issuer = actors.issuer_init(PARAMS, day=day, mpp=self.mpp, issuer_id="iss", rng=self.rng)
         self.store = service.PublicationStore(tmp_path / "public")
         document = service.make_params_document(self.mpp, PARAMS, 0, 86400, "iss", self.issuer.signing_key)
@@ -39,7 +45,7 @@ class World:
         self.vcs = []
         for i in range(n):
             root = f"holder-{i}"
-            hk = actors.pkg_extract(self.msk, root, self.rng)
+            hk = ahibe.extract(self.msk, root, self.rng)
             self.holder_keys[root] = hk
             pop_sk = generate_signing_key(self.rng)
             credential, seed = actors.issuer_issue(
@@ -79,11 +85,11 @@ def world(tmp_path):
 class TestPkgRole:
     def test_extract_empty_root_rejected(self, world):
         with pytest.raises(ahibe.IdentityError):
-            actors.pkg_extract(world.msk, "", world.rng)
+            ahibe.extract(world.msk, "", world.rng)
 
     def test_two_extracts_interchangeable(self, world):
-        hk1 = actors.pkg_extract(world.msk, "holder-0", world.rng)
-        hk2 = actors.pkg_extract(world.msk, "holder-0", world.rng)
+        hk1 = ahibe.extract(world.msk, "holder-0", world.rng)
+        hk2 = ahibe.extract(world.msk, "holder-0", world.rng)
         identity = ahibe.IdentityPath("holder-0", 100)
         header, key = ahibe.encap(world.mpp, identity, world.rng)
         assert ahibe.decap(ahibe.delegate(hk1, 100, world.rng), header) == key
@@ -93,7 +99,7 @@ class TestPkgRole:
 class TestIssuer:
     def test_init_exports_empty_tables(self, tmp_path):
         rng = _rng(1)
-        mpp, _ = actors.pkg_setup("test", rng)
+        mpp, _ = ahibe.setup("test", rng)
         state = actors.issuer_init(PARAMS, day=7, mpp=mpp, issuer_id="x", rng=rng)
         check, revocation = actors.issuer_export_day(state)
         assert check.entry_count() == 0 and len(check.buckets) == PARAMS.c
@@ -176,7 +182,7 @@ class TestIssuer:
 
     def test_expired_vc_leaves_tables(self, tmp_path):
         rng = _rng(9)
-        mpp, msk = actors.pkg_setup("test", rng)
+        mpp, msk = ahibe.setup("test", rng)
         state = actors.issuer_init(PARAMS, day=0, mpp=mpp, issuer_id="x", rng=rng)
         pop = signing_public_key(generate_signing_key(rng))
         credential, seed = actors.issuer_issue(state, "r", {}, expiry_day=2, pop_public_key=pop)
@@ -370,3 +376,114 @@ def test_trust_store_round_trip(tmp_path, world):
     world.trust.save(path)
     loaded = actors.TrustStore.load(path)
     assert loaded.issuers == world.trust.issuers
+
+
+class _FullDisk:
+    """A file whose writes fail, as on a full disk."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        raise OSError(errno.ENOSPC, "no space left on device")
+
+
+@pytest.mark.parametrize("save", [
+    lambda world, path: world.wallet.save(path),
+    lambda world, path: actors.save_issuer_state(world.issuer, path),
+], ids=["wallet", "issuer-state"])
+@pytest.mark.parametrize("leftover_tmp", [False, True])
+def test_failed_secret_write_leaves_no_readable_tmp(world, tmp_path, monkeypatch, save, leftover_tmp):
+    # a write that fails between creating the tmp file and the rename leaves
+    # the tmp behind; it must never have held secrets readable by others,
+    # also when it reuses a 0644 tmp left over from an earlier crash
+    path = tmp_path / "secret"
+    tmp = tmp_path / "secret.tmp"
+    old_umask = os.umask(0o022)
+    try:
+        if leftover_tmp:
+            tmp.write_bytes(b"")
+        real_open = builtins.open
+        monkeypatch.setattr(builtins, "open", lambda file, *a, **k: _FullDisk(real_open(file, *a, **k)))
+        with pytest.raises(OSError):
+            save(world, path)
+    finally:
+        monkeypatch.undo()
+        os.umask(old_umask)
+    assert not path.exists()
+    assert not tmp.exists() or stat.S_IMODE(tmp.stat().st_mode) & 0o077 == 0
+
+
+@pytest.fixture(scope="module")
+def presentation_record(tmp_path_factory):
+    world = World(tmp_path_factory.mktemp("presentation"), n=1)
+    return canonical_decode(world.present(world.vcs[0], [100, 101]).to_bytes())
+
+
+@pytest.mark.parametrize("raw", [
+    b"{}", b"[]", b"null", b"7", b'"text"', b"\xff", b"[" * 100_000,
+    b'{"credential": {}, "nonce": "", "pop_signature": "", "authorizations": []}',
+], ids=["empty-map", "empty-list", "null", "int", "text", "not-utf8", "deep-nesting", "empty-fields"])
+def test_presentation_decoder_rejects_garbage_with_classed_error(raw):
+    with pytest.raises(CanonicalDecodeError):
+        actors.Presentation.from_bytes(raw)
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda rec: rec.pop("credential"),
+    lambda rec: rec["credential"].pop("vc_id"),
+    lambda rec: rec.update(nonce="AAAA"),
+    lambda rec: rec.update(authorizations={}),
+    lambda rec: rec.update(authorizations=[]),
+    lambda rec: rec["authorizations"][0].update(day_key={}),
+    lambda rec: rec["authorizations"][0].update(day_key=[1, 2, 3]),
+    lambda rec: rec["authorizations"][0]["day_key"][1].update(root=5),
+    lambda rec: rec["credential"].update(vc_id="zz"),
+    lambda rec: rec["credential"].update(pop_public_key=17),
+], ids=["no-credential", "no-vc-id", "short-nonce", "authorizations-map", "no-authorizations",
+        "day-key-map", "day-key-ints", "root-int", "vc-id-not-hex", "pop-key-int"])
+def test_presentation_decoder_rejects_mutations_with_classed_error(presentation_record, mutate):
+    rec = json.loads(json.dumps(presentation_record))
+    mutate(rec)
+    with pytest.raises(CanonicalDecodeError):
+        actors.Presentation.from_bytes(json.dumps(rec).encode())
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _subtrees(value, path=()):
+    yield path
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        yield from _subtrees(item, path + (key,))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_presentation_decoder_raises_only_classed_errors(presentation_record, data):
+    """Replace or delete one random subtree of a valid presentation: decoding
+    either succeeds or raises CanonicalDecodeError, never a stray error."""
+    rec = json.loads(json.dumps(presentation_record))
+    path = data.draw(st.sampled_from(list(_subtrees(rec))[1:]))
+    parent = rec
+    for key in path[:-1]:
+        parent = parent[key]
+    if data.draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = data.draw(_JSON)
+    try:
+        actors.Presentation.from_bytes(json.dumps(rec).encode())
+    except CanonicalDecodeError:
+        pass

@@ -1,8 +1,12 @@
+import dataclasses
 import random
 
 import pytest
 
 from revoca import ahibe
+from revoca.pairing import PointDecodeError, gt_to_bytes
+from revoca.pairing.fields import FQ12_ONE, P
+from revoca.encoding import canonical_decode, canonical_encode
 from revoca.primitives import AuthFailure, open_sealed, seal
 
 SCHEMES = ("test", "standard")
@@ -60,6 +64,17 @@ class TestSetup:
     def test_unknown_level(self):
         with pytest.raises(ahibe.SchemeError):
             ahibe.setup("quantum")
+
+    def test_omega_outside_target_group_rejected(self):
+        # on an Fq12 element outside GT, gt_pow does not compute powers, and
+        # Omega = 1 makes every KEM key a function of the header alone
+        mpp, _ = ahibe.setup("standard", _rng(5))
+        r = random.Random(6)
+        random_fq12 = b"".join(r.randrange(P).to_bytes(48, "big") for _ in range(12))
+        for omega in (random_fq12, gt_to_bytes(FQ12_ONE)):
+            forged = dataclasses.replace(mpp, fields={**mpp.fields, "omega": omega})
+            with pytest.raises(PointDecodeError):
+                ahibe.det_encap(forged, ahibe.IdentityPath("h", 1), b"\x01" * 32)
 
 
 class TestKemCorrectness:
@@ -217,9 +232,10 @@ class TestSerialization:
         assert ahibe.params_from_bytes(ahibe.params_to_bytes(mpp)) == mpp
         assert ahibe.master_secret_from_bytes(ahibe.master_secret_to_bytes(msk)) == msk
         assert ahibe.holder_key_from_bytes(ahibe.holder_key_to_bytes(hk)) == hk
-        assert ahibe.day_key_from_bytes(ahibe.day_key_to_bytes(dk)) == dk
-        parsed = ahibe.header_from_bytes(header.canonical_bytes())
-        assert parsed == header
+        # records travel inside larger canonical documents (presentations, tables)
+        wire = lambda rec: canonical_decode(canonical_encode(rec))
+        assert ahibe.day_key_from_record(wire(ahibe.day_key_to_record(dk))) == dk
+        assert ahibe.header_from_record(wire(ahibe.header_to_record(header))) == header
 
     def test_scheme_tag_leads_the_encoding(self, world):
         _, mpp, msk, rng = world
@@ -228,7 +244,7 @@ class TestSerialization:
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ahibe.SchemeError):
-            ahibe.header_from_bytes(b'["martian-v9",{}]')
+            ahibe.header_from_record(["martian-v9", {}])
 
     def test_decap_scheme_mismatch_is_decode_error(self):
         mpp_t, msk_t = ahibe.setup("test", _rng(21))

@@ -1,4 +1,5 @@
 import json
+import stat
 
 import pytest
 
@@ -135,6 +136,26 @@ def test_tampered_presentation_is_bad_pop_with_exit_code(setup_world, capsys):
     assert code == 11
     diagnostic = json.loads(err.strip().splitlines()[-1])
     assert diagnostic["error"] == "bad-proof-of-possession"
+
+
+@pytest.mark.parametrize("raw", [b"{}", b"[]"])
+def test_malformed_presentation_is_decode_error(setup_world, capsys, raw):
+    pres = setup_world["tmp"] / "bad.pres"
+    pres.write_bytes(raw)
+    code, _, err = run_cli(
+        "verifier", "check", "--presentation", str(pres), "--trust", str(setup_world["state"] / "trust.store"),
+        "--state-dir", str(setup_world["state"]), "--current-day", "50",
+        capsys=capsys,
+    )
+    assert code == 3
+    assert json.loads(err.strip().splitlines()[-1])["error"] == "CanonicalDecodeError"
+
+
+def test_secret_files_are_owner_only(setup_world):
+    tmp = setup_world["tmp"]
+    secrets = [tmp / "pkgdir" / "msk.key", tmp / "h9.key", tmp / "bundle.cred", setup_world["wallet"],
+               setup_world["state"] / "issuer.state"]
+    assert [stat.S_IMODE(path.stat().st_mode) for path in secrets] == [0o600] * len(secrets)
 
 
 def test_wrong_nonce_rejected(setup_world, capsys):

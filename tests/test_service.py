@@ -1,9 +1,10 @@
+import os
 import random
 import re
 
 import pytest
 
-from revoca import actors, service
+from revoca import actors, ahibe, service
 from revoca.encoding import canonical_decode
 from revoca.primitives import generate_signing_key, signing_public_key
 from revoca.tables import CorruptSnapshotError, RevocationDocument, TableParams
@@ -20,14 +21,14 @@ PARAMS = TableParams(d=32, c=32, sigma=4, min_anonymity=1)
 @pytest.fixture()
 def world(tmp_path):
     rng = _rng(3)
-    mpp, msk = actors.pkg_setup("test", rng)
+    mpp, msk = ahibe.setup("test", rng)
     issuer = actors.issuer_init(PARAMS, day=10, mpp=mpp, issuer_id="iss", rng=rng)
     store = service.PublicationStore(tmp_path / "public")
     document = service.make_params_document(mpp, PARAMS, epoch=1000, granularity_seconds=86400, issuer_id="iss", signing_key=issuer.signing_key)
     store.write_params(document)
     pop = generate_signing_key(rng)
     wallet = actors.Wallet()
-    hk = actors.pkg_extract(msk, "h-0", rng)
+    hk = ahibe.extract(msk, "h-0", rng)
     credential, seed = actors.issuer_issue(issuer, "h-0", {}, 400, signing_public_key(pop))
     actors.holder_store(wallet, credential, seed, hk, pop, issuer.public_key)
     actors.issuer_publish(issuer, store)
@@ -182,6 +183,20 @@ class TestClient:
         with pytest.raises(CorruptSnapshotError):
             client.fetch_revocation_table(10)
 
+    def test_server_segment_cache_keeps_one_entry_per_segment(self, world):
+        # the serving process never runs publish_check, so each republish of
+        # a day must replace its cached segment, not add a stale copy
+        publisher = world["store"]
+        server = service.PublicationStore(publisher.root)
+        issuer, day = world["issuer"], 10
+        for stamp in (1, 2, 3):
+            actors.issuer_issue(issuer, f"h-{stamp}", {}, 400, signing_public_key(generate_signing_key(world["rng"])))
+            actors.issuer_publish(issuer, publisher)
+            os.utime(publisher.check_path(day), ns=(stamp * 10**9, stamp * 10**9))
+            check, _ = actors.issuer_export_day(issuer)
+            assert server.segment_bytes(day, 1) == check.segment(1).to_bytes()
+        assert [key for key in server._segment_cache if key[:2] == (day, 1)] == [(day, 1)]
+
     def test_serving_is_pure_between_publications(self, world):
         client = service.TableClient(service.InProcessTransport(world["store"]))
         a = client._get("/v1/days/10/revocation", 10)
@@ -194,7 +209,7 @@ def test_revocation_table_cheaper_than_sigma_full_check_downloads(tmp_path):
     # stays below sigma times the cost of pulling every check segment
     rng = _rng(12)
     params = TableParams(d=256, c=256, sigma=8, min_anonymity=1)
-    mpp, msk = actors.pkg_setup("test", rng)
+    mpp, msk = ahibe.setup("test", rng)
     issuer = actors.issuer_init(params, day=0, mpp=mpp, issuer_id="iss", rng=rng)
     store = service.PublicationStore(tmp_path / "public")
     store.write_params(service.make_params_document(mpp, params, 0, 86400, "iss", issuer.signing_key))
@@ -217,7 +232,7 @@ class TestRequestUniformity:
         # issue credentials until two land in the same check segment on the
         # same day, then compare the verifiers' request logs byte for byte
         rng = _rng(8)
-        mpp, msk = actors.pkg_setup("test", rng)
+        mpp, msk = ahibe.setup("test", rng)
         issuer = actors.issuer_init(PARAMS, day=10, mpp=mpp, issuer_id="iss", rng=rng)
         store = service.PublicationStore(tmp_path / "public")
         document = service.make_params_document(mpp, PARAMS, 0, 86400, "iss", issuer.signing_key)
@@ -230,7 +245,7 @@ class TestRequestUniformity:
         by_segment = {}
         pair = None
         for i in range(64):
-            hk = actors.pkg_extract(msk, f"h-{i}", rng)
+            hk = ahibe.extract(msk, f"h-{i}", rng)
             pop = generate_signing_key(rng)
             credential, seed = actors.issuer_issue(issuer, f"h-{i}", {}, 400, signing_public_key(pop))
             actors.holder_store(wallet, credential, seed, hk, pop, issuer.public_key)

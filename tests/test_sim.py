@@ -1,6 +1,7 @@
 import pytest
 
-from revoca.sim import CounterRng, ScenarioConfig, ScenarioReport, run_scenario
+from revoca.encoding import canonical_decode
+from revoca.sim import CounterRng, ScenarioConfig, run_scenario
 
 BASE = dict(
     holders=10,
@@ -98,7 +99,7 @@ def test_holder_bytes_do_not_grow_with_population():
 
 def test_report_record_structure():
     report = run_scenario(ScenarioConfig(**BASE))
-    record = ScenarioReport.record_from_bytes(report.to_bytes())
+    record = canonical_decode(report.to_bytes())
     assert record["version"] == "1"
     assert record["config"]["scheme"] == "test"
     assert len(record["days"]) == BASE["days"]

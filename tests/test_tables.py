@@ -17,13 +17,9 @@ from revoca.tables import (
     TableParams,
     build_check_table,
     check_snapshot_filename,
-    insert_revocation,
     read_snapshot,
-    recommended_sigma,
     revocation_associated_data,
     revocation_snapshot_filename,
-    scan_bucket,
-    segment_contains,
     segment_for_digest,
     snapshot_from_bytes,
     snapshot_to_bytes,
@@ -43,11 +39,6 @@ class TestTableParams:
 
     def test_round_trip(self):
         assert TableParams.from_record(PARAMS.to_record()) == PARAMS
-
-    def test_recommended_sigma(self):
-        # 4096 expected digests, 256 per segment floor -> 16 segments
-        assert recommended_sigma(4096, c=1024, min_anonymity=256) == 16
-        assert recommended_sigma(10, c=1024, min_anonymity=256) == 1
 
 
 class TestCheckTable:
@@ -113,7 +104,7 @@ class TestSegments:
         j = segment_for_digest(digest, PARAMS)
         other = snap.segment((j + 1) % PARAMS.sigma)
         with pytest.raises(SegmentRangeError):
-            segment_contains(other, digest, PARAMS)
+            other.contains(digest, PARAMS)
         with pytest.raises(SegmentRangeError):
             snap.segment(PARAMS.sigma)
 
@@ -146,13 +137,13 @@ class TestRevocationTable:
         doc = RevocationDocument(vc_id=rb(16), status="revoked", reason="", effective_from=1, sequence=0)
         e1 = _entry_for(mpp, msk, rb, "r", 1, doc.vc_id, doc)
         e2 = _entry_for(mpp, msk, rb, "r", 1, doc.vc_id, doc)
-        t1 = insert_revocation(table, 0, e1)
-        t2 = insert_revocation(t1, 0, e2)
+        t1 = table.insert(0, e1)
+        t2 = t1.insert(0, e2)
         assert len(table.buckets[0]) == 0  # original untouched
         assert len(t1.buckets[0]) == 1
         assert t2.buckets[0] == (e1, e2)  # insertion order preserved
         with pytest.raises(IndexError):
-            insert_revocation(table, params.d, e1)
+            table.insert(params.d, e1)
 
     def test_insert_never_mutates_previous_snapshots(self):
         params = TableParams(d=4, c=4, sigma=1, min_anonymity=1)
@@ -176,8 +167,8 @@ class TestRevocationTable:
         entry = _entry_for(mpp, msk, rb, "holder", 2, vc_id, doc)
         table = RevocationTableSnapshot.empty(params, 2).insert(3, entry)
         dk = ahibe.delegate(ahibe.extract(msk, "holder", rb), 2, rb)
-        assert scan_bucket(table, 0, dk, "holder", 2, vc_id) == []
-        found = scan_bucket(table, 3, dk, "holder", 2, vc_id)
+        assert table.scan(0, dk, "holder", 2, vc_id) == []
+        found = table.scan(3, dk, "holder", 2, vc_id)
         assert [d.status for d in found] == ["suspended"]
 
     def test_scan_skips_other_identities(self):
@@ -190,7 +181,7 @@ class TestRevocationTable:
             doc = RevocationDocument(vc_id=vc, status="revoked", reason="", effective_from=day, sequence=0)
             table = table.insert(1, _entry_for(mpp, msk, rb, root, day, vc, doc))
         dk = ahibe.delegate(ahibe.extract(msk, "holder", rb), 5, rb)
-        assert scan_bucket(table, 1, dk, "holder", 5, my_vc) == []
+        assert table.scan(1, dk, "holder", 5, my_vc) == []
 
     def test_scan_orders_by_sequence(self):
         params = TableParams(d=2, c=8, sigma=2, min_anonymity=1)
@@ -201,7 +192,7 @@ class TestRevocationTable:
             doc = RevocationDocument(vc_id=vc_id, status="revoked", reason=f"s{sequence}", effective_from=1, sequence=sequence)
             table = table.insert(0, _entry_for(mpp, msk, rb, "h", 1, vc_id, doc))
         dk = ahibe.delegate(ahibe.extract(msk, "h", rb), 1, rb)
-        assert [d.sequence for d in scan_bucket(table, 0, dk, "h", 1, vc_id)] == [0, 1, 2]
+        assert [d.sequence for d in table.scan(0, dk, "h", 1, vc_id)] == [0, 1, 2]
 
     def test_scan_flags_publisher_misbehavior(self):
         # a correctly-addressed envelope whose inner document names another
@@ -216,12 +207,12 @@ class TestRevocationTable:
         table = RevocationTableSnapshot.empty(params, 1).insert(0, RevocationEntry(header, sealed))
         dk = ahibe.delegate(ahibe.extract(msk, "h", rb), 1, rb)
         with pytest.raises(IntegrityError):
-            scan_bucket(table, 0, dk, "h", 1, vc_id)
+            table.scan(0, dk, "h", 1, vc_id)
         # garbage plaintext in a well-sealed envelope is equally flagged
         sealed2 = seal(key, b"\x00 not a document", revocation_associated_data("h", 1, vc_id), rb)
         table2 = RevocationTableSnapshot.empty(params, 1).insert(0, RevocationEntry(header, sealed2))
         with pytest.raises(IntegrityError):
-            scan_bucket(table2, 0, dk, "h", 1, vc_id)
+            table2.scan(0, dk, "h", 1, vc_id)
 
     def test_load_factor_matches_poisson_oracle(self):
         params = TableParams(d=128, c=8, sigma=2, min_anonymity=1)
