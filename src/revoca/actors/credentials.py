@@ -12,6 +12,14 @@ from ..primitives import sign, vc_id_from_hex, vc_id_hex, verify
 NONCE_LEN = 16
 
 
+def _typed(rec: Mapping, key: str, kind: type):
+    """`rec[key]`, which must be exactly a `kind` (so a bool is not an int)."""
+    value = rec[key]
+    if type(value) is not kind:
+        raise CanonicalDecodeError(f"{key} must be {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
 @dataclass(frozen=True)
 class VerifiableCredential:
     """Issuer-signed credential binding a VC id to an opaque holder root,
@@ -53,14 +61,16 @@ class VerifiableCredential:
 
     @classmethod
     def from_record(cls, rec: Mapping) -> "VerifiableCredential":
+        claims = _typed(rec, "claims", dict)
+        canonical_encode(claims)  # floats and nulls have no canonical form to sign
         return cls(
             vc_id=vc_id_from_hex(rec["vc_id"]),
-            root=rec["root"],
-            issued_day=rec["issued_day"],
-            expiry_day=rec["expiry_day"],
-            claims=rec["claims"],
+            root=_typed(rec, "root", str),
+            issued_day=_typed(rec, "issued_day", int),
+            expiry_day=_typed(rec, "expiry_day", int),
+            claims=claims,
             pop_public_key=b64u_decode(rec["pop_public_key"]),
-            issuer_id=rec["issuer_id"],
+            issuer_id=_typed(rec, "issuer_id", str),
             issuer_signature=b64u_decode(rec["issuer_signature"]),
         )
 
@@ -98,11 +108,15 @@ class TemporalAuthorization:
     day_key: ahibe.DayKey
 
     def to_record(self) -> dict:
-        return {"day": self.day, "day_token": self.day_token, "day_key": ahibe.day_key_to_record(self.day_key)}
+        return {"day": self.day, "day_token": self.day_token, "day_key": ahibe.to_record(self.day_key)}
 
     @classmethod
     def from_record(cls, rec: Mapping) -> "TemporalAuthorization":
-        return cls(day=rec["day"], day_token=b64u_decode(rec["day_token"]), day_key=ahibe.day_key_from_record(rec["day_key"]))
+        return cls(
+            day=_typed(rec, "day", int),
+            day_token=b64u_decode(rec["day_token"]),
+            day_key=ahibe.from_record(ahibe.DayKey, rec["day_key"]),
+        )
 
 
 def pop_payload(vc_id: bytes, nonce: bytes) -> bytes:

@@ -41,7 +41,7 @@ class WalletRecord:
             "credential": self.credential.to_record(),
             "seed": self.seed,
             "pop_signing_key": self.pop_signing_key,
-            "holder_key": ahibe.holder_key_to_bytes(self.holder_key),
+            "holder_key": canonical_encode(ahibe.to_record(self.holder_key)),
         }
 
     @classmethod
@@ -50,7 +50,7 @@ class WalletRecord:
             credential=VerifiableCredential.from_record(rec["credential"]),
             seed=b64u_decode(rec["seed"]),
             pop_signing_key=b64u_decode(rec["pop_signing_key"]),
-            holder_key=ahibe.holder_key_from_bytes(b64u_decode(rec["holder_key"])),
+            holder_key=ahibe.from_record(ahibe.HolderKey, canonical_decode(b64u_decode(rec["holder_key"]))),
         )
 
 

@@ -242,7 +242,7 @@ def issuer_state_to_bytes(state: IssuerState) -> bytes:
             "version": "1",
             "issuer_id": state.issuer_id,
             "signing_key": state.signing_key,
-            "mpp": ahibe.params_to_bytes(state.mpp),
+            "mpp": canonical_encode(ahibe.to_record(state.mpp)),
             "params": state.params.to_record(),
             "current_day": state.current_day,
             "registry": {vc_id_hex(vc_id): rec.to_record() for vc_id, rec in state.registry.items()},
@@ -256,7 +256,7 @@ def issuer_state_from_bytes(data: bytes, rng: RandomBytes = default_rng) -> Issu
     return IssuerState(
         issuer_id=rec["issuer_id"],
         signing_key=b64u_decode(rec["signing_key"]),
-        mpp=ahibe.params_from_bytes(b64u_decode(rec["mpp"])),
+        mpp=ahibe.from_record(ahibe.MasterPublicParams, canonical_decode(b64u_decode(rec["mpp"]))),
         params=TableParams.from_record(rec["params"]),
         current_day=rec["current_day"],
         registry={vc_id_from_hex(h): CredentialRecord.from_record(r) for h, r in rec["registry"].items()},

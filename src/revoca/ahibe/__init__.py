@@ -21,10 +21,11 @@ two parties derive bit-identical headers from shared knowledge.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
-from ..encoding import b64u_decode, canonical_decode, canonical_encode, CanonicalDecodeError
+from ..encoding import b64u_decode, canonical_encode, CanonicalDecodeError
 from ..primitives import (
     KEY_PROBE_CONTEXT,
     AuthFailure,
@@ -85,14 +86,19 @@ class IdentityPath:
 
     @classmethod
     def from_record(cls, rec: Mapping) -> "IdentityPath":
-        return cls(root=rec["root"], day=rec.get("day"))
+        """Malformed input raises CanonicalDecodeError."""
+        if type(rec.get("root")) is not str or type(rec.get("day", 0)) is not int or rec.keys() - {"root", "day"}:
+            raise CanonicalDecodeError(f"malformed identity record: {rec!r}")
+        try:
+            return cls(root=rec["root"], day=rec.get("day"))
+        except ValueError as exc:  # IdentityError, or a root that is not UTF-8 encodable
+            raise CanonicalDecodeError(str(exc)) from exc
 
 
 @dataclass(frozen=True)
 class MasterPublicParams:
     scheme_id: str
     fields: Mapping[str, bytes]
-    level_bound: int = LEVEL_BOUND
 
 
 @dataclass(frozen=True)
@@ -124,7 +130,7 @@ class EncapHeader:
     fields: Mapping[str, bytes]
 
     def canonical_bytes(self) -> bytes:
-        return canonical_encode([self.scheme_id, dict(self.fields)])
+        return canonical_encode(to_record(self))
 
 
 def det_randomness(identity: IdentityPath, binding: bytes) -> bytes:
@@ -208,8 +214,8 @@ def probe_key(mpp: MasterPublicParams, identity: IdentityPath, dk: DayKey, rng: 
     """Check that `dk` really opens ciphertexts for `identity`.
 
     Encapsulates fresh, seals a random probe under the produced key, and
-    checks the day key recovers it. Mismatch is the False return, never an
-    error.
+    checks the day key recovers it. A mismatched or unusable key (missing
+    material, a bad point) is the False return, never an error.
     """
     if identity.level != 2:
         raise LevelError("key probing targets level-2 identities")
@@ -218,80 +224,52 @@ def probe_key(mpp: MasterPublicParams, identity: IdentityPath, dk: DayKey, rng: 
     sealed = seal(key, probe, KEY_PROBE_CONTEXT, rng)
     try:
         recovered = open_sealed(sealed, decap(dk, header), KEY_PROBE_CONTEXT)
-    except (AuthFailure, SchemeError, ValueError):
+    except (AuthFailure, LookupError, ValueError):
         return False
     return recovered == probe
 
 
-# serialization: tagged canonical encoding, scheme tag first
+# serialization: one tagged record codec, scheme tag first
+
+_PARAMS_META = {"level_bound": LEVEL_BOUND}
 
 
-def _bytes_map_record(fields: Mapping[str, bytes]) -> dict:
-    return {k: bytes(v) for k, v in fields.items()}
+def _layout(cls) -> tuple:
+    """(record index, field name) of each part after the scheme tag; public
+    params carry the constant level-bound part first, at index 1."""
+    names = [f.name for f in dataclasses.fields(cls)[1:]]
+    return tuple(enumerate(names, 2 if cls is MasterPublicParams else 1))
 
 
-def _bytes_map_from(rec: Mapping) -> dict:
-    return {k: b64u_decode(v) for k, v in rec.items()}
+_LAYOUTS = {cls: _layout(cls) for cls in (MasterPublicParams, MasterSecret, HolderKey, DayKey, EncapHeader)}
 
 
-def params_to_bytes(mpp: MasterPublicParams) -> bytes:
-    return canonical_encode([mpp.scheme_id, {"level_bound": mpp.level_bound}, _bytes_map_record(mpp.fields)])
+def to_record(obj) -> list:
+    """`[scheme_id, *parts]`: the other fields in dataclass order, the
+    identity as its record and every byte map as a map."""
+    rec = [obj.scheme_id, _PARAMS_META] if type(obj) is MasterPublicParams else [obj.scheme_id]
+    for _, name in _LAYOUTS[type(obj)]:
+        rec.append(obj.identity.to_record() if name == "identity" else dict(getattr(obj, name)))
+    return rec
 
 
-def params_from_bytes(data: bytes) -> MasterPublicParams:
-    scheme_id, meta, fields = _load_tagged(data, 3)
-    return MasterPublicParams(scheme_id=scheme_id, fields=_bytes_map_from(fields), level_bound=meta["level_bound"])
-
-
-def master_secret_to_bytes(msk: MasterSecret) -> bytes:
-    return canonical_encode([msk.scheme_id, _bytes_map_record(msk.fields)])
-
-
-def master_secret_from_bytes(data: bytes) -> MasterSecret:
-    scheme_id, fields = _load_tagged(data, 2)
-    return MasterSecret(scheme_id=scheme_id, fields=_bytes_map_from(fields))
-
-
-def holder_key_to_bytes(hk: HolderKey) -> bytes:
-    return canonical_encode(
-        [hk.scheme_id, hk.identity.to_record(), _bytes_map_record(hk.key_material), _bytes_map_record(hk.delegation)]
-    )
-
-
-def holder_key_from_bytes(data: bytes) -> HolderKey:
-    scheme_id, ident, material, delegation = _load_tagged(data, 4)
-    return HolderKey(
-        scheme_id=scheme_id,
-        identity=IdentityPath.from_record(ident),
-        key_material=_bytes_map_from(material),
-        delegation=_bytes_map_from(delegation),
-    )
-
-
-def day_key_to_record(dk: DayKey) -> list:
-    return [dk.scheme_id, dk.identity.to_record(), _bytes_map_record(dk.key_material)]
-
-
-def day_key_from_record(rec) -> DayKey:
-    scheme_id, ident, material = rec
-    return DayKey(scheme_id=scheme_id, identity=IdentityPath.from_record(ident), key_material=_bytes_map_from(material))
-
-
-def header_to_record(header: EncapHeader) -> list:
-    return [header.scheme_id, _bytes_map_record(header.fields)]
-
-
-def header_from_record(rec) -> EncapHeader:
-    scheme_id, fields = rec
-    if scheme_id not in _SCHEMES:
-        raise SchemeError(f"unknown scheme: {scheme_id!r}")
-    return EncapHeader(scheme_id=scheme_id, fields=_bytes_map_from(fields))
-
-
-def _load_tagged(data: bytes, arity: int):
-    rec = canonical_decode(data)
-    if not isinstance(rec, list) or len(rec) != arity or not isinstance(rec[0], str):
-        raise CanonicalDecodeError("malformed tagged encoding")
+def from_record(cls, rec):
+    """Inverse of `to_record` on a decoded record. Malformed input raises
+    CanonicalDecodeError, an unknown scheme tag SchemeError."""
+    layout = _LAYOUTS[cls]
+    if type(rec) is not list or len(rec) != layout[-1][0] + 1 or type(rec[0]) is not str:
+        raise CanonicalDecodeError(f"malformed {cls.__name__} record")
     if rec[0] not in _SCHEMES:
         raise SchemeError(f"unknown scheme: {rec[0]!r}")
-    return rec
+    if cls is MasterPublicParams and rec[1] != _PARAMS_META:
+        raise CanonicalDecodeError(f"unsupported level bound: {rec[1]!r}")
+    args = [rec[0]]
+    for i, name in layout:
+        part = rec[i]
+        if type(part) is not dict:
+            raise CanonicalDecodeError(f"malformed {cls.__name__} record")
+        if name == "identity":
+            args.append(IdentityPath.from_record(part))
+        else:
+            args.append({k: b64u_decode(v) for k, v in part.items()})
+    return cls(*args)

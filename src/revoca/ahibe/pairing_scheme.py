@@ -49,6 +49,8 @@ from ..pairing import (
 )
 from ..pairing.fields import FQ12_ONE, R, fq12_frob2, fq12_mul, fq12_pow_cyclotomic
 from ..primitives import RandomBytes, hkdf_sha256
+# defined in the package before it imports the schemes
+from . import DayKey, EncapHeader, HolderKey, MasterPublicParams, MasterSecret, det_randomness
 
 SCHEME_ID = "bw2-bls381-v1"
 
@@ -83,8 +85,6 @@ def _day_exponent(day: int) -> int:
 
 
 def setup(rng: RandomBytes):
-    from . import MasterPublicParams, MasterSecret
-
     alpha, z, x10, x11, x20, x21 = (_rand_scalar(rng) for _ in range(6))
     omega = gt_pow(_base_pairing(), alpha * z % R)
     mpp = MasterPublicParams(
@@ -113,8 +113,6 @@ def setup(rng: RandomBytes):
 
 
 def extract(msk, identity, rng: RandomBytes):
-    from . import HolderKey
-
     alpha = int.from_bytes(msk.fields["alpha"], "big")
     z = int.from_bytes(msk.fields["z"], "big")
     x10 = int.from_bytes(msk.fields["x10"], "big")
@@ -132,8 +130,6 @@ def extract(msk, identity, rng: RandomBytes):
 
 
 def delegate(hk, identity, rng: RandomBytes):
-    from . import DayKey
-
     a0 = g2_from_bytes(hk.key_material["a0"], check_subgroup=False)
     d20 = g2_from_bytes(hk.delegation["d20"], check_subgroup=False)
     d21 = g2_from_bytes(hk.delegation["d21"], check_subgroup=False)
@@ -170,8 +166,6 @@ def _decode_public(u10: bytes, u11: bytes, u20: bytes, u21: bytes, omega: bytes)
 
 
 def _encap_with_scalar(mpp, identity, s: int):
-    from . import EncapHeader
-
     fields = mpp.fields
     u10, u11, u20, u21, omega = _decode_public(*(fields[k] for k in ("u10", "u11", "u20", "u21", "omega")))
     h1 = _root_exponent(identity.root)
@@ -199,8 +193,6 @@ def encap(mpp, identity, rng: RandomBytes):
 
 
 def det_encap(mpp, identity, binding: bytes):
-    from . import det_randomness
-
     s = 1 + int.from_bytes(det_randomness(identity, binding), "big") % (R - 1)
     return _encap_with_scalar(mpp, identity, s)
 

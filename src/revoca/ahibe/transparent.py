@@ -10,6 +10,8 @@ milliseconds. Never deploy it.
 from __future__ import annotations
 
 from ..primitives import RandomBytes, hkdf_sha256
+# defined in the package before it imports the schemes
+from . import DayKey, EncapHeader, HolderKey, MasterPublicParams, MasterSecret, det_randomness
 
 SCHEME_ID = "transparent-v1"
 
@@ -19,8 +21,6 @@ _KEM_CTX = b"revoca/transparent/kem/v1"
 
 
 def setup(rng: RandomBytes):
-    from . import MasterPublicParams, MasterSecret
-
     master = rng(32)
     return (
         MasterPublicParams(scheme_id=SCHEME_ID, fields={"master": master}),
@@ -41,8 +41,6 @@ def _shared_key(day_key: bytes, nonce: bytes) -> bytes:
 
 
 def extract(msk, identity, rng: RandomBytes):
-    from . import HolderKey
-
     return HolderKey(
         scheme_id=SCHEME_ID,
         identity=identity,
@@ -51,8 +49,6 @@ def extract(msk, identity, rng: RandomBytes):
 
 
 def delegate(hk, identity, rng: RandomBytes):
-    from . import DayKey
-
     return DayKey(
         scheme_id=SCHEME_ID,
         identity=identity,
@@ -61,8 +57,6 @@ def delegate(hk, identity, rng: RandomBytes):
 
 
 def _encap_with_nonce(mpp, identity, nonce: bytes):
-    from . import EncapHeader
-
     day_key = _day_key(_root_key(mpp.fields["master"], identity.root), identity.day)
     header = EncapHeader(scheme_id=SCHEME_ID, fields={"nonce": nonce})
     return header, _shared_key(day_key, nonce)
@@ -73,8 +67,6 @@ def encap(mpp, identity, rng: RandomBytes):
 
 
 def det_encap(mpp, identity, binding: bytes):
-    from . import det_randomness
-
     return _encap_with_nonce(mpp, identity, det_randomness(identity, binding)[:32])
 
 

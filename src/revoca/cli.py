@@ -120,16 +120,16 @@ def _current_day(args, client: service.TableClient) -> int:
 def cmd_pkg_setup(args) -> int:
     out = Path(args.out)
     mpp, msk = ahibe.setup(args.scheme, default_rng)
-    write_atomic(out / "mpp.pub", ahibe.params_to_bytes(mpp))
-    write_atomic(out / "msk.key", ahibe.master_secret_to_bytes(msk), private=True)
+    write_atomic(out / "mpp.pub", canonical_encode(ahibe.to_record(mpp)))
+    write_atomic(out / "msk.key", canonical_encode(ahibe.to_record(msk)), private=True)
     print(json.dumps({"scheme_id": mpp.scheme_id, "mpp": str(out / "mpp.pub"), "msk": str(out / "msk.key")}))
     return 0
 
 
 def cmd_pkg_extract(args) -> int:
-    msk = ahibe.master_secret_from_bytes(Path(args.msk).read_bytes())
+    msk = ahibe.from_record(ahibe.MasterSecret, canonical_decode(Path(args.msk).read_bytes()))
     holder_key = ahibe.extract(msk, args.root, default_rng)
-    write_atomic(args.out, ahibe.holder_key_to_bytes(holder_key), private=True)
+    write_atomic(args.out, canonical_encode(ahibe.to_record(holder_key)), private=True)
     print(json.dumps({"root": args.root, "holder_key": args.out}))
     return 0
 
@@ -140,7 +140,7 @@ def cmd_pkg_extract(args) -> int:
 def cmd_issuer_init(args) -> int:
     state_dir = _state_dir(args)
     params = TableParams(d=args.table_size, c=args.check_buckets, sigma=args.segments, min_anonymity=args.min_anonymity)
-    mpp = ahibe.params_from_bytes(Path(args.mpp).read_bytes())
+    mpp = ahibe.from_record(ahibe.MasterPublicParams, canonical_decode(Path(args.mpp).read_bytes()))
     state = actors.issuer_init(params, day=args.day, mpp=mpp, issuer_id=args.issuer_id)
     epoch = args.epoch if args.epoch is not None else int(time.time()) - args.day * args.granularity
     document = service.make_params_document(mpp, params, epoch, args.granularity, args.issuer_id, state.signing_key)
@@ -244,7 +244,7 @@ def cmd_holder_store(args) -> int:
         pop_signing = b64u_decode(bundle["pop_signing_key"])
     else:
         raise CliError("bundle has no proof-of-possession key; pass --pop-signing-key")
-    holder_key = ahibe.holder_key_from_bytes(Path(args.holder_key).read_bytes())
+    holder_key = ahibe.from_record(ahibe.HolderKey, canonical_decode(Path(args.holder_key).read_bytes()))
     trust = actors.TrustStore.load(args.trust)
     issuer_key = trust.get(credential.issuer_id)
     if issuer_key is None:

@@ -38,7 +38,7 @@ def b64u_decode(text: str) -> bytes:
     try:
         padded = text.encode("ascii") + b"=" * (-len(text) % 4)
         return base64.b64decode(padded, altchars=b"-_", validate=True)
-    except (ValueError, TypeError, UnicodeEncodeError) as exc:
+    except (ValueError, TypeError, AttributeError) as exc:  # AttributeError: not text
         raise CanonicalDecodeError(f"invalid base64url field: {text!r}") from exc
 
 

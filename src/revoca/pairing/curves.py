@@ -66,20 +66,9 @@ def g1_is_on_curve(pt) -> bool:
 
 
 def g1_add(p1, p2):
-    if p1 is None:
-        return p2
-    if p2 is None:
-        return p1
-    x1, y1 = p1
-    x2, y2 = p2
-    if x1 == x2:
-        if (y1 + y2) % P == 0:
-            return None
-        lam = 3 * x1 * x1 % P * fq_inv(2 * y1 % P) % P
-    else:
-        lam = (y2 - y1) * fq_inv((x2 - x1) % P) % P
-    x3 = (lam * lam - x1 - x2) % P
-    return (x3, (lam * (x1 - x3) - y1) % P)
+    if p1 is None or p2 is None:
+        return p2 if p1 is None else p1
+    return _g1_jac_to_affine(_g1_jac_add((p1[0], p1[1], 1), p2[0], p2[1]))
 
 
 def g1_mul(pt, k: int):
@@ -188,20 +177,9 @@ def g2_is_on_curve(pt) -> bool:
 
 
 def g2_add(p1, p2):
-    if p1 is None:
-        return p2
-    if p2 is None:
-        return p1
-    x1, y1 = p1
-    x2, y2 = p2
-    if x1 == x2:
-        if fq2_add(y1, y2) == FQ2_ZERO:
-            return None
-        lam = fq2_mul(fq2_scalar(fq2_sqr(x1), 3), fq2_inv(fq2_scalar(y1, 2)))
-    else:
-        lam = fq2_mul(fq2_sub(y2, y1), fq2_inv(fq2_sub(x2, x1)))
-    x3 = fq2_sub(fq2_sub(fq2_sqr(lam), x1), x2)
-    return (x3, fq2_sub(fq2_mul(lam, fq2_sub(x1, x3)), y1))
+    if p1 is None or p2 is None:
+        return p2 if p1 is None else p1
+    return _g2_jac_to_affine(_g2_jac_add((p1[0], p1[1], (1, 0)), p2[0], p2[1]))
 
 
 def g2_mul(pt, k: int):

@@ -39,6 +39,7 @@ from .tables import (
     read_snapshot,
     revocation_snapshot_filename,
     snapshot_from_bytes,
+    snapshot_to_bytes,
     write_snapshot,
 )
 
@@ -85,7 +86,7 @@ class PublicParamsDocument:
 
     def to_record(self) -> dict:
         return {
-            "mpp": ahibe.params_to_bytes(self.mpp),
+            "mpp": canonical_encode(ahibe.to_record(self.mpp)),
             "table_params": self.table_params.to_record(),
             "epoch": self.epoch,
             "granularity_seconds": self.granularity_seconds,
@@ -99,7 +100,7 @@ class PublicParamsDocument:
     @classmethod
     def from_record(cls, rec) -> "PublicParamsDocument":
         return cls(
-            mpp=ahibe.params_from_bytes(b64u_decode(rec["mpp"])),
+            mpp=ahibe.from_record(ahibe.MasterPublicParams, canonical_decode(b64u_decode(rec["mpp"]))),
             table_params=TableParams.from_record(rec["table_params"]),
             epoch=rec["epoch"],
             granularity_seconds=rec["granularity_seconds"],
@@ -141,7 +142,8 @@ class PublicationStore:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         # (day, segment) -> (file stamp, segment bytes): a republished day
-        # replaces its entries even where publish_check never runs (the server)
+        # replaces its entries, and a pruned day loses them, even where
+        # publish_check and prune never run (the server)
         self._segment_cache = {}
 
     def params_path(self) -> Path:
@@ -183,16 +185,20 @@ class PublicationStore:
 
     def segment_bytes(self, day: int, segment_index: int) -> bytes:
         path = self.check_path(day)
-        if not path.exists():
-            raise ResourceNotFound("unknown-day")
-        stamp = path.stat().st_mtime_ns
-        cached_stamp, cached = self._segment_cache.get((day, segment_index), (None, None))
-        if cached_stamp != stamp:
+        try:
+            stamp = path.stat().st_mtime_ns
+            cached_stamp, cached = self._segment_cache.get((day, segment_index), (None, None))
+            if cached_stamp == stamp:
+                return cached
+            self._drop_pruned_segments()
             snapshot = read_snapshot(path)
-            if segment_index < 0 or segment_index >= snapshot.params.sigma:
-                raise ResourceNotFound("unknown-segment")
-            cached = snapshot.segment(segment_index).to_bytes()
-            self._segment_cache[(day, segment_index)] = (stamp, cached)
+        except FileNotFoundError:  # also when a prune removes the file mid-request
+            self._drop_pruned_segments()
+            raise ResourceNotFound("unknown-day") from None
+        if segment_index < 0 or segment_index >= snapshot.params.sigma:
+            raise ResourceNotFound("unknown-segment")
+        cached = snapshot_to_bytes(snapshot.segment(segment_index))
+        self._segment_cache[(day, segment_index)] = (stamp, cached)
         return cached
 
     def archived_days(self) -> list:
@@ -209,6 +215,17 @@ class PublicationStore:
             if day < current_day - retention_days:
                 self.check_path(day).unlink(missing_ok=True)
                 self.revocation_path(day).unlink(missing_ok=True)
+        self._drop_pruned_segments()
+
+    def _drop_pruned_segments(self) -> None:
+        """Forget the cached segments of every day whose check file is gone.
+        Server threads share the cache without a lock: a race costs at most a
+        re-parse, or a stale entry until the next miss."""
+        keys = list(self._segment_cache)  # a copy: other threads may add entries meanwhile
+        gone = {day for day in {key[0] for key in keys} if not self.check_path(day).exists()}
+        for key in keys:
+            if key[0] in gone:
+                self._segment_cache.pop(key, None)
 
 
 _SEGMENT_RE = re.compile(r"/v1/days/(\d+)/check/segments/(\d+)")

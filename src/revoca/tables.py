@@ -105,9 +105,6 @@ class CheckSegment:
             }
         )
 
-    def to_bytes(self) -> bytes:
-        return canonical_encode(self.to_record())
-
     @classmethod
     def from_record(cls, rec: Mapping) -> "CheckSegment":
         _check_digest_guard(rec, "check-segment")
@@ -230,11 +227,11 @@ class RevocationEntry:
     sealed_body: bytes
 
     def to_record(self) -> dict:
-        return {"header": ahibe.header_to_record(self.header), "body": self.sealed_body}
+        return {"header": ahibe.to_record(self.header), "body": self.sealed_body}
 
     @classmethod
     def from_record(cls, rec: Mapping) -> "RevocationEntry":
-        return cls(header=ahibe.header_from_record(rec["header"]), sealed_body=b64u_decode(rec["body"]))
+        return cls(header=ahibe.from_record(ahibe.EncapHeader, rec["header"]), sealed_body=b64u_decode(rec["body"]))
 
 
 def revocation_associated_data(root: str, day: int, vc_id: bytes) -> bytes:

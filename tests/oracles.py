@@ -7,7 +7,8 @@ written on stdlib hmac), and the statistical oracles are direct summations
 and simulations. The pairing oracles are the package's earlier, slower
 arithmetic: an affine Miller loop with one field inversion per step, a final
 exponentiation by the generic hard-part exponent with plain Fq12 squaring,
-and the G1 subgroup check by multiplication with the group order.
+the G1 subgroup check by multiplication with the group order, and the affine
+chord-and-tangent point additions.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from revoca.pairing.fields import (
     FQ2_ZERO,
     P,
     R,
+    fq2_add,
     fq2_inv,
     fq2_mul,
     fq2_neg,
@@ -37,6 +39,7 @@ from revoca.pairing.fields import (
     fq12_inv,
     fq12_mul,
     fq12_sqr,
+    fq_inv,
 )
 
 _BLOCK = 64
@@ -161,3 +164,39 @@ def pairing_product_oracle(pairs):
 
 def g1_in_subgroup_oracle(pt) -> bool:
     return g1_is_on_curve(pt) and g1_mul(pt, R) is None
+
+
+def g1_add_oracle(p1, p2):
+    """Affine chord-and-tangent addition on E/Fq, one inversion."""
+    if p1 is None:
+        return p2
+    if p2 is None:
+        return p1
+    x1, y1 = p1
+    x2, y2 = p2
+    if x1 == x2:
+        if (y1 + y2) % P == 0:
+            return None
+        lam = 3 * x1 * x1 % P * fq_inv(2 * y1 % P) % P
+    else:
+        lam = (y2 - y1) * fq_inv((x2 - x1) % P) % P
+    x3 = (lam * lam - x1 - x2) % P
+    return (x3, (lam * (x1 - x3) - y1) % P)
+
+
+def g2_add_oracle(p1, p2):
+    """Affine chord-and-tangent addition on the twist E'/Fq2, one inversion."""
+    if p1 is None:
+        return p2
+    if p2 is None:
+        return p1
+    x1, y1 = p1
+    x2, y2 = p2
+    if x1 == x2:
+        if fq2_add(y1, y2) == FQ2_ZERO:
+            return None
+        lam = fq2_mul(fq2_scalar(fq2_sqr(x1), 3), fq2_inv(fq2_scalar(y1, 2)))
+    else:
+        lam = fq2_mul(fq2_sub(y2, y1), fq2_inv(fq2_sub(x2, x1)))
+    x3 = fq2_sub(fq2_sub(fq2_sqr(lam), x1), x2)
+    return (x3, fq2_sub(fq2_mul(lam, fq2_sub(x1, x3)), y1))

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from revoca import actors, ahibe, service
-from revoca.encoding import CanonicalDecodeError, canonical_decode
+from revoca.encoding import CanonicalDecodeError, canonical_decode, canonical_encode
 from revoca.primitives import (
     compute_check_digest,
     derive_day_token,
@@ -32,9 +32,9 @@ PARAMS = TableParams(d=64, c=64, sigma=4, min_anonymity=1)
 class World:
     """One issuer, publication store, and a wallet with `n` credentials."""
 
-    def __init__(self, tmp_path, n=3, day=100, rng_seed=5):
+    def __init__(self, tmp_path, n=3, day=100, rng_seed=5, level="test"):
         self.rng = _rng(rng_seed)
-        self.mpp, self.msk = ahibe.setup("test", self.rng)
+        self.mpp, self.msk = ahibe.setup(level, self.rng)
         self.issuer = actors.issuer_init(PARAMS, day=day, mpp=self.mpp, issuer_id="iss", rng=self.rng)
         self.store = service.PublicationStore(tmp_path / "public")
         document = service.make_params_document(self.mpp, PARAMS, 0, 86400, "iss", self.issuer.signing_key)
@@ -446,13 +446,29 @@ def test_presentation_decoder_rejects_garbage_with_classed_error(raw):
     lambda rec: rec["authorizations"][0]["day_key"][1].update(root=5),
     lambda rec: rec["credential"].update(vc_id="zz"),
     lambda rec: rec["credential"].update(pop_public_key=17),
+    # ill-typed fields that used to decode and then make verifier_check raise a stray error
+    lambda rec: rec["credential"].update(claims=[1, 2]),
+    lambda rec: rec["credential"].update(claims={"weight": 1.5}),
+    lambda rec: rec["credential"].update(issuer_id=["i"]),
+    lambda rec: rec["authorizations"][0].update(day="x"),
 ], ids=["no-credential", "no-vc-id", "short-nonce", "authorizations-map", "no-authorizations",
-        "day-key-map", "day-key-ints", "root-int", "vc-id-not-hex", "pop-key-int"])
+        "day-key-map", "day-key-ints", "root-int", "vc-id-not-hex", "pop-key-int",
+        "claims-list", "claims-float", "issuer-id-list", "day-text"])
 def test_presentation_decoder_rejects_mutations_with_classed_error(presentation_record, mutate):
     rec = json.loads(json.dumps(presentation_record))
     mutate(rec)
     with pytest.raises(CanonicalDecodeError):
         actors.Presentation.from_bytes(json.dumps(rec).encode())
+
+
+@pytest.mark.parametrize("level", ["test", "standard"])
+def test_day_key_without_material_fails_the_key_probe(tmp_path, level):
+    world = World(tmp_path, n=1, level=level)
+    rec = canonical_decode(world.present(world.vcs[0], [100]).to_bytes())
+    rec["authorizations"][0]["day_key"][2] = {}
+    presentation = actors.Presentation.from_bytes(canonical_encode(rec))
+    with pytest.raises(actors.KeyProbeFailed):
+        world.check(presentation, 100)
 
 
 _JSON = st.recursive(

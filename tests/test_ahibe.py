@@ -1,12 +1,14 @@
 import dataclasses
+import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from revoca import ahibe
 from revoca.pairing import PointDecodeError, gt_to_bytes
 from revoca.pairing.fields import FQ12_ONE, P
-from revoca.encoding import canonical_decode, canonical_encode
+from revoca.encoding import CanonicalDecodeError, canonical_decode, canonical_encode
 from revoca.primitives import AuthFailure, open_sealed, seal
 
 SCHEMES = ("test", "standard")
@@ -54,7 +56,7 @@ class TestSetup:
         assert mpp_t.scheme_id == "transparent-v1"
         mpp_s, _ = ahibe.setup("standard", _rng(2))
         assert mpp_s.scheme_id == "bw2-bls381-v1"
-        assert mpp_t.level_bound == mpp_s.level_bound == 2
+        assert ahibe.to_record(mpp_t)[1] == ahibe.to_record(mpp_s)[1] == {"level_bound": 2}
 
     def test_fresh_master_secrets(self):
         _, msk1 = ahibe.setup("test", _rng(3))
@@ -229,22 +231,20 @@ class TestSerialization:
         hk = ahibe.extract(msk, "holder-s", rng)
         dk = ahibe.delegate(hk, 77, rng)
         header, _ = ahibe.encap(mpp, ahibe.IdentityPath("holder-s", 77), rng)
-        assert ahibe.params_from_bytes(ahibe.params_to_bytes(mpp)) == mpp
-        assert ahibe.master_secret_from_bytes(ahibe.master_secret_to_bytes(msk)) == msk
-        assert ahibe.holder_key_from_bytes(ahibe.holder_key_to_bytes(hk)) == hk
-        # records travel inside larger canonical documents (presentations, tables)
-        wire = lambda rec: canonical_decode(canonical_encode(rec))
-        assert ahibe.day_key_from_record(wire(ahibe.day_key_to_record(dk))) == dk
-        assert ahibe.header_from_record(wire(ahibe.header_to_record(header))) == header
+        # every object crosses a trust boundary as its canonically encoded record
+        for obj in (mpp, msk, hk, dk, header):
+            raw = canonical_encode(ahibe.to_record(obj))
+            assert ahibe.from_record(type(obj), canonical_decode(raw)) == obj
+        assert header.canonical_bytes() == canonical_encode(ahibe.to_record(header))
 
     def test_scheme_tag_leads_the_encoding(self, world):
         _, mpp, msk, rng = world
-        raw = ahibe.params_to_bytes(mpp)
+        raw = canonical_encode(ahibe.to_record(mpp))
         assert raw.startswith(b'["' + mpp.scheme_id.encode())
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ahibe.SchemeError):
-            ahibe.header_from_record(["martian-v9", {}])
+            ahibe.from_record(ahibe.EncapHeader, ["martian-v9", {}])
 
     def test_decap_scheme_mismatch_is_decode_error(self):
         mpp_t, msk_t = ahibe.setup("test", _rng(21))
@@ -253,3 +253,93 @@ class TestSerialization:
         header, _ = ahibe.encap(mpp_s, ahibe.IdentityPath("h", 1), _rng(25))
         with pytest.raises(ahibe.SchemeError):
             ahibe.decap(dk, header)
+
+
+def _wire_records():
+    """A decoded record of each of the five classes, keyed by class."""
+    rng = _rng(31)
+    mpp, msk = ahibe.setup("test", rng)
+    hk = ahibe.extract(msk, "holder-w", rng)
+    dk = ahibe.delegate(hk, 5, rng)
+    header, _ = ahibe.encap(mpp, ahibe.IdentityPath("holder-w", 5), rng)
+    return {type(obj): canonical_decode(canonical_encode(ahibe.to_record(obj))) for obj in (mpp, msk, hk, dk, header)}
+
+
+WIRE = _wire_records()
+DECODE_ERRORS = (CanonicalDecodeError, ahibe.SchemeError)
+
+
+def _replaced(rec, path, value):
+    rec = json.loads(json.dumps(rec))
+    parent = rec
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return rec
+
+
+@pytest.mark.parametrize("cls, rec", [
+    (ahibe.EncapHeader, _replaced(WIRE[ahibe.EncapHeader], [0], ["transparent-v1"])),
+    (ahibe.EncapHeader, _replaced(WIRE[ahibe.EncapHeader], [1, "nonce"], "not*base64url")),
+    (ahibe.EncapHeader, _replaced(WIRE[ahibe.EncapHeader], [1, "nonce"], 7)),
+    (ahibe.EncapHeader, _replaced(WIRE[ahibe.EncapHeader], [1], ["AAAA"])),
+    (ahibe.EncapHeader, WIRE[ahibe.EncapHeader] + [{}]),
+    (ahibe.EncapHeader, {"scheme": "transparent-v1"}),
+    (ahibe.MasterPublicParams, _replaced(WIRE[ahibe.MasterPublicParams], [1], {"level_bound": 3})),
+    (ahibe.MasterPublicParams, WIRE[ahibe.MasterSecret]),
+    (ahibe.MasterSecret, WIRE[ahibe.MasterSecret][:1]),
+    (ahibe.HolderKey, _replaced(WIRE[ahibe.HolderKey], [1], {"day": 3})),
+    (ahibe.HolderKey, _replaced(WIRE[ahibe.HolderKey], [1, "root"], "")),
+    (ahibe.HolderKey, _replaced(WIRE[ahibe.HolderKey], [1, "root"], "x" * 257)),
+    (ahibe.HolderKey, _replaced(WIRE[ahibe.HolderKey], [1, "extra"], 1)),
+    (ahibe.DayKey, _replaced(WIRE[ahibe.DayKey], [1, "day"], -1)),
+    (ahibe.DayKey, _replaced(WIRE[ahibe.DayKey], [1, "day"], "5")),
+    (ahibe.DayKey, _replaced(WIRE[ahibe.DayKey], [1, "day"], True)),
+    (ahibe.DayKey, _replaced(WIRE[ahibe.DayKey], [1, "root"], 5)),
+], ids=["tag-list", "not-base64url", "value-int", "part-list", "arity-long", "not-a-list",
+        "level-bound-3", "secret-as-params", "arity-short", "identity-without-root", "root-empty", "root-long",
+        "identity-extra-key", "day-negative", "day-text", "day-bool", "root-int"])
+def test_malformed_records_raise_decode_errors(cls, rec):
+    with pytest.raises(CanonicalDecodeError):
+        ahibe.from_record(cls, rec)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _paths(value, path=()):
+    yield path
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        yield from _paths(item, path + (key,))
+
+
+@settings(max_examples=400, deadline=None)
+@given(cls=st.sampled_from(sorted(WIRE, key=lambda c: c.__name__)), data=st.data())
+def test_from_record_raises_only_decode_errors(cls, data):
+    """A random value, random parts after a valid scheme tag, or a valid record
+    with one subtree replaced or deleted either decodes to a `cls` or raises
+    CanonicalDecodeError or SchemeError."""
+    rec = json.loads(json.dumps(WIRE[cls]))
+    how = data.draw(st.sampled_from(["random", "parts", "replace", "delete"]))
+    if how == "random":
+        rec = data.draw(_JSON)
+    elif how == "parts":
+        rec[1:] = data.draw(st.lists(_JSON | st.dictionaries(st.text(max_size=6), _JSON), max_size=len(rec)))
+    else:
+        path = data.draw(st.sampled_from(list(_paths(rec))[1:]))
+        parent = rec
+        for key in path[:-1]:
+            parent = parent[key]
+        if how == "delete":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = data.draw(_JSON)
+    try:
+        assert isinstance(ahibe.from_record(cls, rec), cls)
+    except DECODE_ERRORS:
+        pass

@@ -1,5 +1,6 @@
 """Structural rules for src/revoca: one atomic file write, one revocation-slot
-derivation, and no module-level name that nothing in the program uses.
+derivation, one ahibe record codec, and no module-level name that nothing in
+the program uses.
 
 "Uses" means a load of the name, bare or as an attribute, anywhere in
 src/revoca or perfbench/ outside the name's own definition. Tests do not
@@ -77,6 +78,27 @@ def test_one_atomic_file_write():
 def test_one_slot_index_derivation():
     sites = _calls("index_from_ciphertext")
     assert len(sites) == 1, sites
+
+
+def test_one_ahibe_record_codec():
+    # ahibe objects cross the wire only through ahibe.to_record/from_record
+    suffixes = ("_to_bytes", "_from_bytes", "_to_record", "_from_record")
+    per_type = [
+        name
+        for name, node in _definitions(_tree(SRC / "ahibe" / "__init__.py"))
+        if isinstance(node, ast.FunctionDef) and name.endswith(suffixes)
+    ]
+    assert per_type == []
+    sites = [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and getattr(node.func.value, "id", None) == "ahibe"
+        and node.func.attr.endswith(suffixes)
+    ]
+    assert sites == []
 
 
 def test_every_module_level_name_is_used():

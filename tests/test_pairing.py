@@ -6,7 +6,9 @@ import pytest
 
 from oracles import (
     final_exponentiation_oracle,
+    g1_add_oracle,
     g1_in_subgroup_oracle,
+    g2_add_oracle,
     miller_loop_oracle,
     pairing_product_oracle,
 )
@@ -170,6 +172,21 @@ class TestGroups:
         assert g1_mul(G1_GEN, a + b) == g1_add(g1_mul(G1_GEN, a), g1_mul(G1_GEN, b))
         assert g2_mul(G2_GEN, a + b) == g2_add(g2_mul(G2_GEN, a), g2_mul(G2_GEN, b))
         assert g1_add(g1_mul(G1_GEN, a), g1_neg(g1_mul(G1_GEN, a))) is None
+
+    @pytest.mark.parametrize("group", ["g1", "g2"])
+    def test_additions_match_affine_oracles(self, group):
+        add, oracle, mul, neg, gen = {
+            "g1": (g1_add, g1_add_oracle, g1_mul, g1_neg, G1_GEN),
+            "g2": (g2_add, g2_add_oracle, g2_mul, g2_neg, G2_GEN),
+        }[group]
+        r = random.Random(13)
+        points = [mul(gen, r.randrange(1, R)) for _ in range(6)]
+        cases = list(zip(points, points[1:]))  # random sums
+        cases += [(p, p) for p in points[:2]] + [(p, neg(p)) for p in points[:2]]  # P + P, P + (-P)
+        cases += [(None, points[0]), (points[0], None), (None, None)]
+        for p, q in cases:
+            assert add(p, q) == oracle(p, q)
+        assert add(points[0], neg(points[0])) is None and add(None, None) is None
 
     def test_serialization_round_trips(self):
         for _ in range(10):

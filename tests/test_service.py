@@ -1,13 +1,15 @@
 import os
 import random
 import re
+import sys
+import threading
 
 import pytest
 
 from revoca import actors, ahibe, service
 from revoca.encoding import canonical_decode
 from revoca.primitives import generate_signing_key, signing_public_key
-from revoca.tables import CorruptSnapshotError, RevocationDocument, TableParams
+from revoca.tables import CorruptSnapshotError, RevocationDocument, TableParams, read_snapshot, snapshot_to_bytes
 
 
 def _rng(seed):
@@ -194,8 +196,71 @@ class TestClient:
             actors.issuer_publish(issuer, publisher)
             os.utime(publisher.check_path(day), ns=(stamp * 10**9, stamp * 10**9))
             check, _ = actors.issuer_export_day(issuer)
-            assert server.segment_bytes(day, 1) == check.segment(1).to_bytes()
+            assert server.segment_bytes(day, 1) == snapshot_to_bytes(check.segment(1))
         assert [key for key in server._segment_cache if key[:2] == (day, 1)] == [(day, 1)]
+
+    def test_pruned_days_leave_no_cached_segments(self, world):
+        # the store that prunes drops a pruned day's segments at once; a server
+        # on the same directory, which never prunes, drops them on its next
+        # cache miss or 404
+        publisher = world["store"]
+        servers = [service.PublicationStore(publisher.root) for _ in range(2)]
+        for store in (publisher, *servers):
+            for j in range(PARAMS.sigma):
+                store.segment_bytes(10, j)
+        actors.issuer_rollover(world["issuer"], 40, publisher)
+        publisher.prune(40, 25)
+        assert not publisher.check_path(10).exists()
+        assert [key for key in publisher._segment_cache if key[0] == 10] == []
+        assert service.resolve_path(servers[0], "/v1/days/10/check/segments/0")[0] == 404
+        servers[1].segment_bytes(40, 0)  # a cache miss
+        for server in servers:
+            assert [key for key in server._segment_cache if key[0] == 10] == []
+
+    def test_segment_cache_survives_concurrent_requests_and_prunes(self, world):
+        # server threads share the cache and drop pruned days while others
+        # serve and a publisher prunes: a request gets the right bytes or a
+        # 404, never a stray error
+        publisher = world["store"]
+        actors.issuer_rollover(world["issuer"], 30, publisher)
+        expected = {
+            (day, j): snapshot_to_bytes(read_snapshot(publisher.check_path(day)).segment(j))
+            for day in range(10, 31)
+            for j in range(PARAMS.sigma)
+        }
+        server = service.PublicationStore(publisher.root)
+        failures = []
+
+        def serve(seed):
+            r = random.Random(seed)
+            for _ in range(300):
+                key = r.choice(list(expected))
+                try:
+                    if server.segment_bytes(*key) != expected[key]:
+                        failures.append(("wrong bytes", key))
+                except service.ResourceNotFound:
+                    pass
+                except Exception as exc:  # noqa: BLE001  (any other error is the failure under test)
+                    failures.append((repr(exc), key))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=serve, args=(seed,)) for seed in range(6)]
+            for thread in threads:
+                thread.start()
+            for keep in (15, 10, 5, 0):
+                publisher.prune(30, keep)
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        assert server.segment_bytes(30, 0) == expected[(30, 0)]
+        with pytest.raises(service.ResourceNotFound):
+            server.segment_bytes(10, 0)
+        assert {key[0] for key in server._segment_cache} <= {30}
 
     def test_serving_is_pure_between_publications(self, world):
         client = service.TableClient(service.InProcessTransport(world["store"]))

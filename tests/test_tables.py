@@ -111,7 +111,7 @@ class TestSegments:
     def test_segment_serialization_round_trip(self):
         snap = build_check_table([rng.randbytes(32) for _ in range(100)], PARAMS, 2)
         segment = snap.segment(3)
-        clone = snapshot_from_bytes(segment.to_bytes())
+        clone = snapshot_from_bytes(snapshot_to_bytes(segment))
         assert clone == segment
 
 
