@@ -37,6 +37,8 @@ from ..tables import (
     build_check_table,
     revocation_associated_data,
     slot_for_digest,
+    snapshot_from_bytes,
+    snapshot_to_bytes,
 )
 from .credentials import VerifiableCredential, sign_credential
 
@@ -191,16 +193,14 @@ def issuer_revoke(state: IssuerState, vc_id: bytes, document: RevocationDocument
 
 
 def _rebuild_revocation(state: IssuerState, day: int) -> RevocationTableSnapshot:
-    snapshot = RevocationTableSnapshot.empty(state.params, day)
-    for vc_id, record in state.registry.items():
-        if not record.active_on(day):
-            continue
-        for registered in record.documents:
-            if registered.published_day > day:
-                continue
-            index, entry = _build_entry(state, record, vc_id, registered.document, day)
-            snapshot = snapshot.insert(index, entry)
-    return snapshot
+    entries = [
+        _build_entry(state, record, vc_id, registered.document, day)
+        for vc_id, record in state.registry.items()
+        if record.active_on(day)
+        for registered in record.documents
+        if registered.published_day <= day
+    ]
+    return RevocationTableSnapshot.from_entries(state.params, day, entries)
 
 
 def issuer_rollover(state: IssuerState, new_day: int, store=None) -> IssuerState:
@@ -239,14 +239,14 @@ def issuer_publish(state: IssuerState, store) -> None:
 def issuer_state_to_bytes(state: IssuerState) -> bytes:
     return canonical_encode(
         {
-            "version": "1",
+            "version": "2",
             "issuer_id": state.issuer_id,
             "signing_key": state.signing_key,
             "mpp": canonical_encode(ahibe.to_record(state.mpp)),
             "params": state.params.to_record(),
             "current_day": state.current_day,
             "registry": {vc_id_hex(vc_id): rec.to_record() for vc_id, rec in state.registry.items()},
-            "revocation": state.revocation.to_record(),
+            "revocation": snapshot_to_bytes(state.revocation),
         }
     )
 
@@ -260,7 +260,7 @@ def issuer_state_from_bytes(data: bytes, rng: RandomBytes = default_rng) -> Issu
         params=TableParams.from_record(rec["params"]),
         current_day=rec["current_day"],
         registry={vc_id_from_hex(h): CredentialRecord.from_record(r) for h, r in rec["registry"].items()},
-        revocation=RevocationTableSnapshot.from_record(rec["revocation"]),
+        revocation=snapshot_from_bytes(b64u_decode(rec["revocation"])),
         rng=rng,
     )
 

@@ -202,6 +202,12 @@ def det_encap(mpp: MasterPublicParams, identity: IdentityPath, binding: bytes):
     return _scheme(mpp.scheme_id).det_encap(mpp, identity, binding)
 
 
+def header_layout(scheme_id: str) -> tuple:
+    """(name, byte width) of each field of the scheme's encapsulation
+    headers, in a fixed order."""
+    return _scheme(scheme_id).HEADER_FIELDS
+
+
 def decap(dk: DayKey, header: EncapHeader) -> bytes:
     """Recover the encapsulated key; a mismatched identity yields a key that
     fails downstream AEAD authentication rather than an error."""

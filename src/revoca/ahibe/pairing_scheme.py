@@ -53,6 +53,7 @@ from ..primitives import RandomBytes, hkdf_sha256
 from . import DayKey, EncapHeader, HolderKey, MasterPublicParams, MasterSecret, det_randomness
 
 SCHEME_ID = "bw2-bls381-v1"
+HEADER_FIELDS = (("b", 48), ("c1", 48), ("c2", 48))  # compressed G1 points
 
 _ROOT_ID_CTX = b"revoca/bw2/root-id/v1"
 _DAY_ID_CTX = b"revoca/bw2/day-id/v1"

@@ -14,6 +14,7 @@ from ..primitives import RandomBytes, hkdf_sha256
 from . import DayKey, EncapHeader, HolderKey, MasterPublicParams, MasterSecret, det_randomness
 
 SCHEME_ID = "transparent-v1"
+HEADER_FIELDS = (("nonce", 32),)
 
 _ROOT_CTX = b"revoca/transparent/root-key/v1"
 _DAY_CTX = b"revoca/transparent/day-key/v1"

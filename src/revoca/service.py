@@ -21,6 +21,7 @@ import http.client
 import re
 import threading
 import urllib.parse
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -44,6 +45,10 @@ from .tables import (
 )
 
 PARAMS_FILENAME = "params.doc"
+
+# parsed revocation tables a client keeps: today's, yesterday's for past-day
+# authorizations, and room for a few more days
+TABLE_CACHE_DAYS = 4
 
 ROUTES = (
     "/v1/params",
@@ -159,10 +164,7 @@ class PublicationStore:
         write_atomic(self.params_path(), document.to_bytes())
 
     def params_bytes(self) -> bytes:
-        path = self.params_path()
-        if not path.exists():
-            raise ResourceNotFound("params-not-published")
-        return path.read_bytes()
+        return _read(self.params_path(), "params-not-published")
 
     def publish_check(self, snapshot: CheckTableSnapshot) -> None:
         write_snapshot(snapshot, self.check_path(snapshot.day))
@@ -172,16 +174,10 @@ class PublicationStore:
         write_snapshot(snapshot, self.revocation_path(snapshot.day))
 
     def check_bytes(self, day: int) -> bytes:
-        path = self.check_path(day)
-        if not path.exists():
-            raise ResourceNotFound("unknown-day")
-        return path.read_bytes()
+        return _read(self.check_path(day), "unknown-day")
 
     def revocation_bytes(self, day: int) -> bytes:
-        path = self.revocation_path(day)
-        if not path.exists():
-            raise ResourceNotFound("unknown-day")
-        return path.read_bytes()
+        return _read(self.revocation_path(day), "unknown-day")
 
     def segment_bytes(self, day: int, segment_index: int) -> bytes:
         path = self.check_path(day)
@@ -226,6 +222,15 @@ class PublicationStore:
         for key in keys:
             if key[0] in gone:
                 self._segment_cache.pop(key, None)
+
+
+def _read(path: Path, reason: str) -> bytes:
+    """The file's bytes; a missing file, also one a prune removes between a
+    request's arrival and the read, is ResourceNotFound."""
+    try:
+        return path.read_bytes()
+    except FileNotFoundError:
+        raise ResourceNotFound(reason) from None
 
 
 _SEGMENT_RE = re.compile(r"/v1/days/(\d+)/check/segments/(\d+)")
@@ -302,7 +307,9 @@ class TableClient:
         self.transport = transport
         self.log: list = []
         self._params: Optional[PublicParamsDocument] = None
-        self._table_cache = {}
+        # day -> (body SHA-256, parsed table), least recently used first; a
+        # newer body for a day replaces the older one
+        self._tables = OrderedDict()
 
     def _get(self, path: str, day: Optional[int]) -> bytes:
         status, reason, body = self.transport.get(path)
@@ -335,13 +342,17 @@ class TableClient:
     def fetch_revocation_table(self, day: int) -> Tuple[RevocationTableSnapshot, int]:
         body = self._get(f"/v1/days/{day}/revocation", day)
         # parsing is cached by content; the transfer is still logged above
-        key = hashlib.sha256(body).digest()
-        table = self._table_cache.get(key)
-        if table is None:
+        digest = hashlib.sha256(body).digest()
+        cached = self._tables.pop(day, None)
+        if cached is not None and cached[0] == digest:
+            table = cached[1]
+        else:
             table = snapshot_from_bytes(body)
             if not isinstance(table, RevocationTableSnapshot) or table.day != day:
                 raise CorruptSnapshotError("response is not the requested revocation table")
-            self._table_cache = {key: table}  # keep only the latest
+        self._tables[day] = (digest, table)
+        if len(self._tables) > TABLE_CACHE_DAYS:
+            self._tables.popitem(last=False)
         return table, len(body)
 
 
@@ -351,7 +362,7 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         if reason:
             self.send_header("X-Reason", reason)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", "application/json" if self.path == "/v1/params" else "application/octet-stream")
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
         self.wfile.write(body)

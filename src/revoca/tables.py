@@ -5,21 +5,37 @@ Both are hash tables with separate chaining. The check table holds one
 revocation table holds encrypted revocation documents in overflow lists and
 is only ever fetched whole (a bucket-level fetch would tell the publisher
 which slot a verifier cares about). Snapshots are immutable values; updates
-return new snapshots. Files carry a version tag and a content digest.
+return new snapshots.
+
+Snapshot files are fixed-width binary. An envelope (magic, version, the
+SHA-256 of every byte after it, kind, day, the kind's fixed fields) precedes
+the body. Check tables and segments hold a per-bucket count array and then
+the 32-byte digests in bucket order; revocation tables hold their entries in
+slot order. Decoding checks the digest over the bytes as read, validates
+every field and raises only CorruptSnapshotError.
 """
 
 from __future__ import annotations
 
 import hashlib
+import struct
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
+from itertools import chain
 from typing import Iterable, Mapping, Optional
 
 from . import ahibe
-from .encoding import b64u_decode, canonical_decode, canonical_encode, CanonicalDecodeError, write_atomic
+from .encoding import canonical_decode, canonical_encode, write_atomic
 from .primitives import AuthFailure, check_bucket, index_from_ciphertext, open_sealed, vc_id_from_hex, vc_id_hex
 
-SNAPSHOT_VERSION = "1"
+SNAPSHOT_VERSION = "2"
+
+# a revocation-table file holds only its entries, but a decoded table holds
+# one bucket per slot: this caps what a forged file can make a reader
+# allocate (8 MiB of slots), at 16 times the largest benchmarked table
+MAX_BUCKETS = 1 << 20
+
+_DIGEST_LEN = 32  # a check digest is an HMAC-SHA-256 output
 
 REVOCATION_STATUSES = ("revoked", "suspended", "conditioned")
 
@@ -52,6 +68,8 @@ class TableParams:
     def __post_init__(self):
         if self.d < 1 or self.c < 1 or self.sigma < 1 or self.min_anonymity < 1:
             raise ValueError("table parameters must be positive")
+        if self.d > MAX_BUCKETS or self.c > MAX_BUCKETS:
+            raise ValueError(f"table sizes are capped at {MAX_BUCKETS} buckets")
         if self.c < self.sigma or self.c % self.sigma != 0:
             raise ValueError("sigma must divide the check-table bucket count")
 
@@ -80,6 +98,40 @@ def slot_for_digest(mpp: ahibe.MasterPublicParams, root: str, day: int, digest: 
 
 
 @dataclass(frozen=True)
+class SnapshotRecord:
+    """A snapshot file between its envelope and its typed value: the day, the
+    kind's fixed unsigned 32-bit fields (parameters and counts) and the raw
+    body."""
+
+    day: int
+    fields: tuple
+    body: bytes
+
+
+def _pack_buckets(buckets) -> tuple:
+    """(body, digest count): the per-bucket count array, then every digest in
+    bucket order."""
+    counts = [len(bucket) for bucket in buckets]
+    digests = b"".join(chain.from_iterable(buckets))
+    if len(digests) != _DIGEST_LEN * sum(counts):
+        raise ValueError(f"check digests must be {_DIGEST_LEN} bytes")
+    return struct.pack(f">{len(counts)}I", *counts) + digests, sum(counts)
+
+
+def _unpack_buckets(body: bytes, width: int, count: int) -> tuple:
+    counts = struct.unpack_from(f">{width}I", body)
+    start = 4 * width
+    if sum(counts) != count or len(body) != start + _DIGEST_LEN * count:
+        raise CorruptSnapshotError("bucket counts do not match the digests")
+    digests = [body[i : i + _DIGEST_LEN] for i in range(start, len(body), _DIGEST_LEN)]
+    buckets, end = [], 0
+    for n in counts:
+        end += n
+        buckets.append(tuple(digests[end - n : end]))
+    return tuple(buckets)
+
+
+@dataclass(frozen=True)
 class CheckSegment:
     day: int
     segment_index: int
@@ -87,33 +139,22 @@ class CheckSegment:
     buckets: tuple
 
     def contains(self, digest: bytes, params: TableParams) -> bool:
-        if segment_for_digest(digest, params) != self.segment_index:
-            raise SegmentRangeError("digest belongs to a different segment")
+        if segment_for_digest(digest, params) != self.segment_index or len(self.buckets) != params.segment_width:
+            raise SegmentRangeError("digest's bucket lies outside this segment")
         bucket = self.buckets[check_bucket(digest, params.c) - self.start_bucket]
         pos = bisect_left(bucket, digest)
         return pos < len(bucket) and bucket[pos] == digest
 
-    def to_record(self) -> dict:
-        return _with_digest(
-            {
-                "version": SNAPSHOT_VERSION,
-                "kind": "check-segment",
-                "day": self.day,
-                "segment_index": self.segment_index,
-                "start_bucket": self.start_bucket,
-                "buckets": [list(bucket) for bucket in self.buckets],
-            }
-        )
+    def to_record(self) -> SnapshotRecord:
+        body, count = _pack_buckets(self.buckets)
+        return SnapshotRecord(self.day, (self.segment_index, self.start_bucket, len(self.buckets), count), body)
 
     @classmethod
-    def from_record(cls, rec: Mapping) -> "CheckSegment":
-        _check_digest_guard(rec, "check-segment")
-        return cls(
-            day=rec["day"],
-            segment_index=rec["segment_index"],
-            start_bucket=rec["start_bucket"],
-            buckets=tuple(tuple(b64u_decode(d) for d in bucket) for bucket in rec["buckets"]),
-        )
+    def from_record(cls, rec: SnapshotRecord) -> "CheckSegment":
+        segment_index, start_bucket, width, count = rec.fields
+        if start_bucket != segment_index * width:
+            raise CorruptSnapshotError("segment start does not match its index")
+        return cls(rec.day, segment_index, start_bucket, _unpack_buckets(rec.body, width, count))
 
 
 @dataclass(frozen=True)
@@ -140,25 +181,15 @@ class CheckTableSnapshot:
     def entry_count(self) -> int:
         return sum(len(b) for b in self.buckets)
 
-    def to_record(self) -> dict:
-        return _with_digest(
-            {
-                "version": SNAPSHOT_VERSION,
-                "kind": "check",
-                "day": self.day,
-                "params": self.params.to_record(),
-                "buckets": [list(bucket) for bucket in self.buckets],
-            }
-        )
+    def to_record(self) -> SnapshotRecord:
+        body, count = _pack_buckets(self.buckets)
+        return SnapshotRecord(self.day, (*astuple(self.params), count), body)
 
     @classmethod
-    def from_record(cls, rec: Mapping) -> "CheckTableSnapshot":
-        _check_digest_guard(rec, "check")
-        return cls(
-            day=rec["day"],
-            params=TableParams.from_record(rec["params"]),
-            buckets=tuple(tuple(b64u_decode(d) for d in bucket) for bucket in rec["buckets"]),
-        )
+    def from_record(cls, rec: SnapshotRecord) -> "CheckTableSnapshot":
+        *params, count = rec.fields
+        params = TableParams(*params)
+        return cls(rec.day, params, _unpack_buckets(rec.body, params.c, count))
 
 
 def build_check_table(entries: Iterable[bytes], params: TableParams, day: int) -> CheckTableSnapshot:
@@ -226,13 +257,6 @@ class RevocationEntry:
     header: ahibe.EncapHeader
     sealed_body: bytes
 
-    def to_record(self) -> dict:
-        return {"header": ahibe.to_record(self.header), "body": self.sealed_body}
-
-    @classmethod
-    def from_record(cls, rec: Mapping) -> "RevocationEntry":
-        return cls(header=ahibe.from_record(ahibe.EncapHeader, rec["header"]), sealed_body=b64u_decode(rec["body"]))
-
 
 def revocation_associated_data(root: str, day: int, vc_id: bytes) -> bytes:
     return canonical_encode({"root": root, "day": day, "vc_id": vc_id_hex(vc_id)})
@@ -247,6 +271,21 @@ class RevocationTableSnapshot:
     @classmethod
     def empty(cls, params: TableParams, day: int) -> "RevocationTableSnapshot":
         return cls(day=day, params=params, buckets=((),) * params.d)
+
+    @classmethod
+    def from_entries(cls, params: TableParams, day: int, entries: Iterable) -> "RevocationTableSnapshot":
+        """Table of (index, entry) pairs, each overflow list in the given
+        order: built in per-slot lists and frozen once, so the cost is linear
+        in the entries plus one pass over the d slots."""
+        lists = {}
+        for index, entry in entries:
+            if not 0 <= index < params.d:
+                raise IndexError(f"bucket index {index} out of range [0, {params.d})")
+            lists.setdefault(index, []).append(entry)
+        buckets = [()] * params.d
+        for index, bucket in lists.items():
+            buckets[index] = tuple(bucket)
+        return cls(day=day, params=params, buckets=tuple(buckets))
 
     def insert(self, index: int, entry: RevocationEntry) -> "RevocationTableSnapshot":
         """Append to the overflow list at `index`, returning a new snapshot."""
@@ -290,67 +329,102 @@ class RevocationTableSnapshot:
         lengths = [len(b) for b in self.buckets]
         return (sum(lengths) / len(lengths), max(lengths))
 
-    def to_record(self) -> dict:
-        return _with_digest(
-            {
-                "version": SNAPSHOT_VERSION,
-                "kind": "revocation",
-                "day": self.day,
-                "params": self.params.to_record(),
-                "buckets": [[entry.to_record() for entry in bucket] for bucket in self.buckets],
-            }
-        )
+    def to_record(self) -> SnapshotRecord:
+        """Body: if there are entries, the scheme id and the header field
+        names once, then per entry in slot order its index, the header field
+        values (fixed widths) and the length-prefixed sealed body."""
+        entries = [(index, entry) for index, bucket in enumerate(self.buckets) if bucket for entry in bucket]
+        parts = []
+        if entries:
+            scheme_id = entries[0][1].header.scheme_id
+            layout = ahibe.header_layout(scheme_id)
+            widths, head = dict(layout), _entry_head(layout)
+            parts.append(_pack_texts([scheme_id, *widths]))
+            for index, entry in entries:
+                fields = entry.header.fields
+                if entry.header.scheme_id != scheme_id or {n: len(v) for n, v in fields.items()} != widths:
+                    raise ValueError("entry header does not fit the table's header layout")
+                parts += (head.pack(index, *(fields[name] for name in widths), len(entry.sealed_body)), entry.sealed_body)
+        return SnapshotRecord(self.day, (*astuple(self.params), len(entries)), b"".join(parts))
 
     @classmethod
-    def from_record(cls, rec: Mapping) -> "RevocationTableSnapshot":
-        _check_digest_guard(rec, "revocation")
-        return cls(
-            day=rec["day"],
-            params=TableParams.from_record(rec["params"]),
-            buckets=tuple(tuple(RevocationEntry.from_record(e) for e in bucket) for bucket in rec["buckets"]),
-        )
+    def from_record(cls, rec: SnapshotRecord) -> "RevocationTableSnapshot":
+        *params, count = rec.fields
+        params = TableParams(*params)
+        body, pos, entries = rec.body, 0, []
+        if count:
+            (scheme_id, *names), pos = _unpack_texts(body)
+            layout = ahibe.header_layout(scheme_id)
+            if names != [name for name, _ in layout]:
+                raise CorruptSnapshotError(f"header fields {names} do not match scheme {scheme_id!r}")
+            head, last = _entry_head(layout), 0
+            for _ in range(count):
+                index, *values, size = head.unpack_from(body, pos)
+                sealed = body[pos + head.size : pos + head.size + size]
+                pos += head.size + size
+                if not last <= index < params.d:
+                    raise CorruptSnapshotError(f"entry index {index} out of slot order or range")
+                last = index
+                header = ahibe.EncapHeader(scheme_id, dict(zip(names, values)))
+                entries.append((index, RevocationEntry(header, sealed)))
+        if pos != len(body):
+            raise CorruptSnapshotError("the entries do not fill the body exactly")
+        return cls.from_entries(params, rec.day, entries)
 
 
-# file round trip with content-digest guard
+# file envelope: magic and version, the SHA-256 of every byte after it, kind,
+# day and the kind's fixed fields; then the body
+
+_MAGIC = b"RVSN" + SNAPSHOT_VERSION.encode("ascii")
+_COVERED = len(_MAGIC) + 32  # where the digested bytes begin
+
+# kind byte -> (snapshot class, number of fixed fields after the day)
+_KINDS = {1: (CheckTableSnapshot, 5), 2: (CheckSegment, 4), 3: (RevocationTableSnapshot, 5)}
+_KIND_BYTES = {cls: kind for kind, (cls, _) in _KINDS.items()}
 
 
-def _record_digest(rec: Mapping) -> str:
-    core = {k: v for k, v in rec.items() if k != "sha256"}
-    return hashlib.sha256(canonical_encode(core)).hexdigest()
+def _entry_head(layout) -> struct.Struct:
+    """A revocation entry's fixed part: slot, each header field value at its
+    width, sealed-body length."""
+    return struct.Struct(">I" + "".join(f"{width}s" for _, width in layout) + "I")
 
 
-def _with_digest(rec: dict) -> dict:
-    rec["sha256"] = _record_digest(rec)
-    return rec
+def _pack_texts(texts) -> bytes:
+    """A count byte, then each text as a length byte and its UTF-8 bytes."""
+    raw = [text.encode("utf-8") for text in texts]
+    return bytes([len(raw)]) + b"".join(bytes([len(r)]) + r for r in raw)
 
 
-def _check_digest_guard(rec: Mapping, kind: str) -> None:
-    try:
-        if rec.get("version") != SNAPSHOT_VERSION or rec.get("kind") != kind:
-            raise CorruptSnapshotError(f"not a version-{SNAPSHOT_VERSION} {kind} snapshot")
-        if rec["sha256"] != _record_digest(rec):
-            raise CorruptSnapshotError("content digest mismatch")
-    except (KeyError, TypeError) as exc:
-        raise CorruptSnapshotError("malformed snapshot record") from exc
+def _unpack_texts(body: bytes) -> tuple:
+    """(texts, offset after them); inverse of `_pack_texts`."""
+    texts, pos = [], 1
+    for _ in range(body[0]):
+        end = pos + 1 + body[pos]  # a text cut short leaves pos past the body, which the caller rejects
+        texts.append(body[pos + 1 : end].decode("utf-8"))
+        pos = end
+    return texts, pos
 
 
 def snapshot_to_bytes(snapshot) -> bytes:
-    return canonical_encode(snapshot.to_record())
+    rec = snapshot.to_record()
+    covered = struct.pack(f">BQ{len(rec.fields)}I", _KIND_BYTES[type(snapshot)], rec.day, *rec.fields) + rec.body
+    return _MAGIC + hashlib.sha256(covered).digest() + covered
 
 
 def snapshot_from_bytes(data: bytes):
+    """Inverse of `snapshot_to_bytes`. The digest is checked over the bytes
+    as read; any malformed input raises CorruptSnapshotError."""
+    if data[: len(_MAGIC)] != _MAGIC:
+        raise CorruptSnapshotError(f"not a version-{SNAPSHOT_VERSION} snapshot")
+    if hashlib.sha256(memoryview(data)[_COVERED:]).digest() != data[len(_MAGIC) : _COVERED]:
+        raise CorruptSnapshotError("content digest mismatch")
     try:
-        rec = canonical_decode(data)
-        kind = rec.get("kind") if isinstance(rec, dict) else None
-    except CanonicalDecodeError as exc:
-        raise CorruptSnapshotError(str(exc)) from exc
-    if kind == "check":
-        return CheckTableSnapshot.from_record(rec)
-    if kind == "revocation":
-        return RevocationTableSnapshot.from_record(rec)
-    if kind == "check-segment":
-        return CheckSegment.from_record(rec)
-    raise CorruptSnapshotError(f"unknown snapshot kind {kind!r}")
+        cls, nfields = _KINDS[data[_COVERED]]
+        head = struct.Struct(f">BQ{nfields}I")
+        _, day, *fields = head.unpack_from(data, _COVERED)
+        return cls.from_record(SnapshotRecord(day, tuple(fields), data[_COVERED + head.size :]))
+    except (LookupError, ValueError, struct.error) as exc:  # CorruptSnapshotError is a ValueError
+        raise CorruptSnapshotError(f"malformed snapshot: {exc}") from exc
 
 
 def write_snapshot(snapshot, path) -> None:

@@ -8,7 +8,10 @@ and simulations. The pairing oracles are the package's earlier, slower
 arithmetic: an affine Miller loop with one field inversion per step, a final
 exponentiation by the generic hard-part exponent with plain Fq12 squaring,
 the G1 subgroup check by multiplication with the group order, and the affine
-chord-and-tangent point additions.
+chord-and-tangent point additions. The table oracles are the package's
+earlier table code: the version-1 snapshot codec (canonical JSON records
+with a SHA-256 over their canonical re-encoding) and the rollover build that
+inserts one document at a time.
 """
 
 from __future__ import annotations
@@ -20,6 +23,9 @@ import random
 from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
+from revoca import ahibe
+from revoca.actors.issuer import _build_entry
+from revoca.encoding import CanonicalDecodeError, b64u_decode, canonical_decode, canonical_encode
 from revoca.pairing.curves import g1_is_on_curve, g1_mul
 from revoca.pairing.fields import (
     BLS_X,
@@ -40,6 +46,14 @@ from revoca.pairing.fields import (
     fq12_mul,
     fq12_sqr,
     fq_inv,
+)
+from revoca.tables import (
+    CheckSegment,
+    CheckTableSnapshot,
+    CorruptSnapshotError,
+    RevocationEntry,
+    RevocationTableSnapshot,
+    TableParams,
 )
 
 _BLOCK = 64
@@ -200,3 +214,79 @@ def g2_add_oracle(p1, p2):
         lam = fq2_mul(fq2_sub(y2, y1), fq2_inv(fq2_sub(x2, x1)))
     x3 = fq2_sub(fq2_sub(fq2_sqr(lam), x1), x2)
     return (x3, fq2_sub(fq2_mul(lam, fq2_sub(x1, x3)), y1))
+
+
+# version-1 snapshot codec
+
+_KIND_NAMES = {CheckTableSnapshot: "check", CheckSegment: "check-segment", RevocationTableSnapshot: "revocation"}
+
+
+def _record_digest(rec) -> str:
+    core = {k: v for k, v in rec.items() if k != "sha256"}
+    return hashlib.sha256(canonical_encode(core)).hexdigest()
+
+
+def _check_digest_guard(rec, kind: str) -> None:
+    try:
+        if rec.get("version") != "1" or rec.get("kind") != kind:
+            raise CorruptSnapshotError(f"not a version-1 {kind} snapshot")
+        if rec["sha256"] != _record_digest(rec):
+            raise CorruptSnapshotError("content digest mismatch")
+    except (KeyError, TypeError) as exc:
+        raise CorruptSnapshotError("malformed snapshot record") from exc
+
+
+def snapshot_to_bytes_v1(snapshot) -> bytes:
+    rec = {"version": "1", "kind": _KIND_NAMES[type(snapshot)], "day": snapshot.day}
+    if type(snapshot) is CheckSegment:
+        rec.update(segment_index=snapshot.segment_index, start_bucket=snapshot.start_bucket)
+    else:
+        rec["params"] = snapshot.params.to_record()
+    if type(snapshot) is RevocationTableSnapshot:
+        rec["buckets"] = [
+            [{"header": ahibe.to_record(entry.header), "body": entry.sealed_body} for entry in bucket]
+            for bucket in snapshot.buckets
+        ]
+    else:
+        rec["buckets"] = [list(bucket) for bucket in snapshot.buckets]
+    rec["sha256"] = _record_digest(rec)
+    return canonical_encode(rec)
+
+
+def snapshot_from_bytes_v1(data: bytes):
+    try:
+        rec = canonical_decode(data)
+        kind = rec.get("kind") if isinstance(rec, dict) else None
+    except CanonicalDecodeError as exc:
+        raise CorruptSnapshotError(str(exc)) from exc
+    _check_digest_guard(rec, kind)
+    if kind == "check-segment":
+        buckets = tuple(tuple(b64u_decode(d) for d in bucket) for bucket in rec["buckets"])
+        return CheckSegment(rec["day"], rec["segment_index"], rec["start_bucket"], buckets)
+    params = TableParams.from_record(rec["params"])
+    if kind == "check":
+        return CheckTableSnapshot(rec["day"], params, tuple(tuple(b64u_decode(d) for d in b) for b in rec["buckets"]))
+    if kind == "revocation":
+        buckets = tuple(
+            tuple(
+                RevocationEntry(ahibe.from_record(ahibe.EncapHeader, e["header"]), b64u_decode(e["body"]))
+                for e in bucket
+            )
+            for bucket in rec["buckets"]
+        )
+        return RevocationTableSnapshot(rec["day"], params, buckets)
+    raise CorruptSnapshotError(f"unknown snapshot kind {kind!r}")
+
+
+def rebuild_revocation_oracle(state, day: int) -> RevocationTableSnapshot:
+    """The rollover build that copies the table once per inserted document."""
+    snapshot = RevocationTableSnapshot.empty(state.params, day)
+    for vc_id, record in state.registry.items():
+        if not record.active_on(day):
+            continue
+        for registered in record.documents:
+            if registered.published_day > day:
+                continue
+            index, entry = _build_entry(state, record, vc_id, registered.document, day)
+            snapshot = snapshot.insert(index, entry)
+    return snapshot

@@ -1,6 +1,6 @@
 """Structural rules for src/revoca: one atomic file write, one revocation-slot
-derivation, one ahibe record codec, and no module-level name that nothing in
-the program uses.
+derivation, one ahibe record codec, one snapshot codec, linear rollover
+builds, and no module-level name that nothing in the program uses.
 
 "Uses" means a load of the name, bare or as an attribute, anywhere in
 src/revoca or perfbench/ outside the name's own definition. Tests do not
@@ -99,6 +99,41 @@ def test_one_ahibe_record_codec():
         and node.func.attr.endswith(suffixes)
     ]
     assert sites == []
+
+
+def _enclosing_calls(path, names):
+    """`Class.function` or `function` of every call to one of `names` in a
+    module (one level of class nesting)."""
+    found = []
+    for node in _tree(path).body:
+        scopes = [node] if isinstance(node, ast.FunctionDef) else []
+        if isinstance(node, ast.ClassDef):
+            scopes = [f for f in node.body if isinstance(f, ast.FunctionDef)]
+        for scope in scopes:
+            qualified = f"{node.name}.{scope.name}" if scope is not node else scope.name
+            for call in ast.walk(scope):
+                if isinstance(call, ast.Call) and (getattr(call.func, "id", None) in names or getattr(call.func, "attr", None) in names):
+                    found.append(qualified)
+    return found
+
+
+def test_one_snapshot_codec():
+    # canonical JSON carries only the small objects inside a revocation
+    # table (documents, associated data); no snapshot record goes through it
+    sites = _enclosing_calls(SRC / "tables.py", {"canonical_encode", "canonical_decode"})
+    assert sorted(set(sites)) == [
+        "RevocationDocument.from_bytes",
+        "RevocationDocument.to_bytes",
+        "revocation_associated_data",
+    ]
+
+
+def test_rollover_builds_without_insert():
+    # RevocationTableSnapshot.insert copies all d slots; a rollover builds its
+    # table in one pass instead
+    sites = _enclosing_calls(SRC / "actors" / "issuer.py", {"insert"})
+    assert "_rebuild_revocation" not in sites
+    assert "issuer_revoke" in sites  # a same-day revoke still appends with insert
 
 
 def test_every_module_level_name_is_used():

@@ -7,9 +7,15 @@ import threading
 import pytest
 
 from revoca import actors, ahibe, service
-from revoca.encoding import canonical_decode
 from revoca.primitives import generate_signing_key, signing_public_key
-from revoca.tables import CorruptSnapshotError, RevocationDocument, TableParams, read_snapshot, snapshot_to_bytes
+from revoca.tables import (
+    CorruptSnapshotError,
+    RevocationDocument,
+    TableParams,
+    read_snapshot,
+    snapshot_from_bytes,
+    snapshot_to_bytes,
+)
 
 
 def _rng(seed):
@@ -88,7 +94,7 @@ class TestRoutes:
         status, reason, body = service.resolve_path(store, "/v1/params")
         assert status == 200 and body == store.params_bytes()
         status, _, body = service.resolve_path(store, "/v1/days/10/check/segments/0")
-        assert status == 200 and canonical_decode(body)["segment_index"] == 0
+        assert status == 200 and snapshot_from_bytes(body).segment_index == 0
         status, _, body = service.resolve_path(store, "/v1/days/10/revocation")
         assert status == 200 and body == store.revocation_bytes(10)
 
@@ -178,12 +184,56 @@ class TestClient:
         store = world["store"]
         path = store.revocation_path(10)
         raw = bytearray(path.read_bytes())
-        pos = raw.index(b'"day"') + 6
-        raw[pos:pos+2] = b"99"
+        day_at = 5 + 32 + 1  # after magic, version, digest and kind
+        assert raw[day_at : day_at + 8] == (10).to_bytes(8, "big")
+        raw[day_at + 7] = 99
         path.write_bytes(bytes(raw))
         client = service.TableClient(service.InProcessTransport(store))
         with pytest.raises(CorruptSnapshotError):
             client.fetch_revocation_table(10)
+
+    def test_files_vanishing_before_the_read_are_not_found(self, world, monkeypatch):
+        # a prune may remove a file after any existence test and before the
+        # read: every route must still answer 404, never raise
+        store = world["store"]
+        store.params_path().unlink()
+        monkeypatch.setattr(type(store.root), "exists", lambda self: True)
+        for method, args in (("params_bytes", ()), ("check_bytes", (99,)), ("revocation_bytes", (99,))):
+            with pytest.raises(service.ResourceNotFound):
+                getattr(store, method)(*args)
+        assert service.resolve_path(store, "/v1/params")[:2] == (404, "params-not-published")
+        assert service.resolve_path(store, "/v1/days/99/revocation")[:2] == (404, "unknown-day")
+        assert service.resolve_path(store, "/v1/days/99/check/segments/0")[:2] == (404, "unknown-day")
+
+    def test_alternating_days_parse_each_table_once(self, world, monkeypatch):
+        # a past-day authorization fetches yesterday's table beside today's:
+        # each body is parsed once, however the fetches interleave
+        issuer, store = world["issuer"], world["store"]
+        actors.issuer_rollover(issuer, 11, store)
+        parses = []
+
+        def counting(body):
+            parses.append(body)
+            return snapshot_from_bytes(body)
+
+        monkeypatch.setattr(service, "snapshot_from_bytes", counting)
+        client = service.TableClient(service.InProcessTransport(store))
+        for _ in range(3):
+            for day in (10, 11):
+                table, _ = client.fetch_revocation_table(day)
+                assert table.day == day
+        assert parses == [store.revocation_bytes(10), store.revocation_bytes(11)]
+        actors.issuer_revoke(issuer, world["credential"].vc_id, RevocationDocument(
+            world["credential"].vc_id, "revoked", "", 11, 0), 11)
+        actors.issuer_publish(issuer, store)  # a new body for day 11 is parsed again
+        assert client.fetch_revocation_table(11)[0].entry_count() == 1
+        assert client.fetch_revocation_table(10)[0].day == 10
+        assert len(parses) == 3
+        for day in range(12, 12 + service.TABLE_CACHE_DAYS):  # the oldest day leaves the cache
+            actors.issuer_rollover(issuer, day, store)
+            client.fetch_revocation_table(day)
+        client.fetch_revocation_table(10)
+        assert len(parses) == 3 + service.TABLE_CACHE_DAYS + 1
 
     def test_server_segment_cache_keeps_one_entry_per_segment(self, world):
         # the serving process never runs publish_check, so each republish of

@@ -1,12 +1,24 @@
+import functools
 import hashlib
 import random
+import struct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import balls_into_bins_max, poisson_tail_bound
-from revoca import ahibe
-from revoca.primitives import check_bucket, index_from_ciphertext, seal
+from oracles import (
+    balls_into_bins_max,
+    poisson_tail_bound,
+    rebuild_revocation_oracle,
+    snapshot_from_bytes_v1,
+    snapshot_to_bytes_v1,
+)
+from revoca import actors, ahibe
+from revoca.primitives import check_bucket, generate_signing_key, index_from_ciphertext, seal, signing_public_key
+from revoca.sim import CounterRng
 from revoca.tables import (
+    MAX_BUCKETS,
+    REVOCATION_STATUSES,
     CheckTableSnapshot,
     CorruptSnapshotError,
     IntegrityError,
@@ -253,25 +265,25 @@ class TestSnapshotFiles:
 
     def test_flipped_byte_detected(self, tmp_path):
         params = TableParams(d=4, c=4, sigma=2, min_anonymity=1)
-        snap = build_check_table([random.Random(3).randbytes(32)], params, 1)
+        digest = random.Random(3).randbytes(32)
+        snap = build_check_table([digest], params, 1)
         path = tmp_path / "check-1.snap"
         write_snapshot(snap, path)
         raw = bytearray(path.read_bytes())
-        pos = raw.index(b'"buckets"') + 20
-        raw[pos] ^= 0x01
+        raw[raw.index(digest) + 20] ^= 0x01
         path.write_bytes(bytes(raw))
         with pytest.raises(CorruptSnapshotError):
             read_snapshot(path)
 
-    def test_kind_confusion_rejected(self, tmp_path):
+    def test_kind_confusion_rejected(self):
         params = TableParams(d=4, c=4, sigma=2, min_anonymity=1)
-        snap = build_check_table([], params, 1)
-        rec = snap.to_record()
-        rec["kind"] = "revocation"
-        from revoca.encoding import canonical_encode
-
-        with pytest.raises(CorruptSnapshotError):
-            snapshot_from_bytes(canonical_encode(rec))
+        raw = bytearray(snapshot_to_bytes(build_check_table([], params, 1)))
+        assert raw[KIND_AT] == 1
+        raw[KIND_AT] = 3  # revocation
+        with pytest.raises(CorruptSnapshotError):  # the digest covers the kind
+            snapshot_from_bytes(bytes(raw))
+        with pytest.raises(CorruptSnapshotError):  # and a re-digested file is no revocation table
+            snapshot_from_bytes(_redigest(bytes(raw)))
 
 
 class TestRevocationDocument:
@@ -291,3 +303,237 @@ class TestRevocationDocument:
             RevocationDocument(vc_id=bytes(16), status="vaporized", reason="", effective_from=0, sequence=0)
         with pytest.raises(ValueError):
             RevocationDocument(vc_id=bytes(16), status="revoked", reason="", effective_from=0, sequence=-1)
+
+
+# snapshot codec v2: the file layout spelled out independently of the encoder
+
+MAGIC = b"RVSN2"
+KIND_AT = len(MAGIC) + 32  # the digest covers every byte from the kind on
+SCHEMES = ("test", "standard")
+
+
+def _redigest(raw: bytes) -> bytes:
+    return raw[: len(MAGIC)] + hashlib.sha256(raw[KIND_AT:]).digest() + raw[KIND_AT:]
+
+
+def _file(kind: int, day: int, fields: tuple, body: bytes) -> bytes:
+    return _redigest(MAGIC + bytes(32) + struct.pack(f">BQ{len(fields)}I", kind, day, *fields) + body)
+
+
+def _texts(*texts: str) -> bytes:
+    return bytes([len(texts)]) + b"".join(bytes([len(t.encode())]) + t.encode() for t in texts)
+
+
+def _entry_bytes(index: int, entry: RevocationEntry) -> bytes:
+    values = b"".join(entry.header.fields.values())
+    return struct.pack(">I", index) + values + struct.pack(">I", len(entry.sealed_body)) + entry.sealed_body
+
+
+@functools.lru_cache(maxsize=None)
+def _keys(level):
+    r = random.Random(f"keys/{level}")
+    return ahibe.setup(level, lambda n: r.randbytes(n))
+
+
+def _random_tables(level: str, seed: int, entries: int) -> tuple:
+    """A check table, one of its segments and a revocation table of
+    `entries` documents for one day, all drawn from `seed`."""
+    mpp, msk = _keys(level)
+    r = random.Random(seed)
+    rb = lambda n: r.randbytes(n)  # noqa: E731
+    params = TableParams(d=r.choice((1, 5, 64)), c=16, sigma=r.choice((1, 4, 16)), min_anonymity=1)
+    day = r.randrange(1000)
+    check = build_check_table([rb(32) for _ in range(r.randrange(60))], params, day)
+    table = RevocationTableSnapshot.empty(params, day)
+    for _ in range(entries):
+        doc = RevocationDocument(
+            vc_id=rb(16), status=r.choice(REVOCATION_STATUSES), reason="r" * r.randrange(40),
+            effective_from=day, sequence=r.randrange(5),
+        )
+        table = table.insert(r.randrange(params.d), _entry_for(mpp, msk, rb, f"h{r.randrange(3)}", day, doc.vc_id, doc))
+    return check, check.segment(r.randrange(params.sigma)), table
+
+
+class TestCodecV2:
+    def test_layout(self):
+        mpp, msk, rb = _transparent_world()
+        params = TableParams(d=8, c=4, sigma=2, min_anonymity=3)
+        doc = RevocationDocument(vc_id=rb(16), status="revoked", reason="", effective_from=7, sequence=0)
+        e1, e2, e3 = (_entry_for(mpp, msk, rb, "h", 7, doc.vc_id, doc) for _ in range(3))
+        table = RevocationTableSnapshot.empty(params, 7).insert(5, e1).insert(2, e2).insert(5, e3)
+        body = _texts("transparent-v1", "nonce") + _entry_bytes(2, e2) + _entry_bytes(5, e1) + _entry_bytes(5, e3)
+        assert snapshot_to_bytes(table) == _file(3, 7, (8, 4, 2, 3, 3), body)
+        assert snapshot_to_bytes(RevocationTableSnapshot.empty(params, 7)) == _file(3, 7, (8, 4, 2, 3, 0), b"")
+
+        check = build_check_table([b"\x00" * 7 + bytes([i]) + rb(24) for i in (1, 2, 2, 3)], params, 7)
+        counts = struct.pack(">4I", *(len(b) for b in check.buckets))
+        assert snapshot_to_bytes(check) == _file(1, 7, (8, 4, 2, 3, 4), counts + b"".join(sum(check.buckets, ())))
+        segment = check.segment(1)
+        assert snapshot_to_bytes(segment) == _file(
+            2, 7, (1, 2, 2, len(sum(segment.buckets, ()))),
+            struct.pack(">2I", *map(len, segment.buckets)) + b"".join(sum(segment.buckets, ())),
+        )
+
+    @pytest.mark.parametrize("level", SCHEMES)
+    def test_round_trip_matches_v1_oracle(self, level):
+        for seed in range(2 if level == "standard" else 25):
+            for snapshot in _random_tables(level, seed, entries=2 if level == "standard" else 30):
+                raw = snapshot_to_bytes(snapshot)
+                decoded = snapshot_from_bytes(raw)
+                assert decoded == snapshot_from_bytes_v1(snapshot_to_bytes_v1(snapshot)) == snapshot
+                assert snapshot_to_bytes(decoded) == raw
+                assert len(raw) < len(snapshot_to_bytes_v1(snapshot))
+
+    @pytest.mark.parametrize("level", SCHEMES)
+    def test_decoded_entries_keep_headers_and_kem_keys(self, level):
+        mpp, msk = _keys(level)
+        r = random.Random(5)
+        rb = lambda n: r.randbytes(n)  # noqa: E731
+        identity = ahibe.IdentityPath("h", 9)
+        keys, table = [], RevocationTableSnapshot.empty(TableParams(d=4, c=4, sigma=1, min_anonymity=1), 9)
+        for index in (3, 0, 3):
+            header, key = ahibe.encap(mpp, identity, rb)
+            keys.append(key)
+            table = table.insert(index, RevocationEntry(header, rb(40)))
+        decoded = snapshot_from_bytes(snapshot_to_bytes(table))
+        dk = ahibe.delegate(ahibe.extract(msk, "h", rb), 9, rb)
+        pairs = [(a, b) for old, new in zip(table.buckets, decoded.buckets) for a, b in zip(old, new)]
+        assert len(pairs) == 3
+        for (original, clone), key in zip(pairs, (keys[1], keys[0], keys[2])):
+            assert clone.header.fields == original.header.fields
+            assert clone.header.canonical_bytes() == original.header.canonical_bytes()
+            assert ahibe.decap(dk, clone.header) == key
+
+    @pytest.mark.parametrize("level", SCHEMES)
+    def test_rollover_build_matches_insert_per_document(self, level):
+        mpp, _ = _keys(level)
+        params = TableParams(d=4 if level == "standard" else 8, c=4, sigma=1, min_anonymity=1)
+        states = []
+        for _ in range(2):
+            rng = CounterRng(b"rollover-" + level.encode())
+            issuer = actors.issuer_init(params, day=0, mpp=mpp, issuer_id="iss", rng=rng)
+            for i in range(3 if level == "standard" else 24):
+                expiry = 0 if i % 5 == 4 else 50  # some expire before the rollover day
+                credential, _ = actors.issuer_issue(issuer, f"h{i % 7}", {}, expiry, signing_public_key(generate_signing_key(rng)))
+                if i % 3 != 2:
+                    for sequence in range(1 + i % 2):
+                        doc = RevocationDocument(credential.vc_id, "suspended", f"{i}", 0, sequence)
+                        actors.issuer_revoke(issuer, credential.vc_id, doc, 0)
+            states.append(issuer)
+        expected = rebuild_revocation_oracle(states[1], 1)
+        actors.issuer_rollover(states[0], 1)
+        assert states[0].revocation == expected
+        assert snapshot_to_bytes(states[0].revocation) == snapshot_to_bytes(expected)
+        assert expected.entry_count() > 0
+
+
+def _revocation_case_bodies():
+    """(name, fields, body) of re-digested revocation tables that must not
+    decode; each differs from a valid two-entry table in one respect."""
+    mpp, msk, rb = _transparent_world()
+    doc = RevocationDocument(vc_id=rb(16), status="revoked", reason="", effective_from=4, sequence=0)
+    e1, e2 = (_entry_for(mpp, msk, rb, "h", 4, doc.vc_id, doc) for _ in range(2))
+    names = _texts("transparent-v1", "nonce")
+    entries = _entry_bytes(1, e1) + _entry_bytes(3, e2)
+    fields = (8, 8, 2, 1, 2)
+    valid = _file(3, 4, fields, names + entries)
+    assert snapshot_from_bytes(valid).buckets[3] == (e2,)
+    return [
+        ("no header field names", fields, _texts("transparent-v1") + entries),
+        ("extra header field name", fields, _texts("transparent-v1", "nonce", "x") + entries),
+        ("renamed header field", fields, _texts("transparent-v1", "seed") + entries),
+        ("version-1 header shape", fields, _texts("x") + entries),
+        ("unknown scheme", fields, _texts("x", "nonce") + entries),
+        ("no layout at all", fields, entries),
+        ("scheme id not UTF-8", fields, bytes([2, 2, 0xC3, 0x28, 5]) + b"nonce" + entries),
+        ("truncated body", fields, names + entries[:-1]),
+        ("truncated entry", fields, names + entries[:-len(e2.sealed_body) - 20]),
+        ("truncated layout", fields, names[:5]),
+        ("empty body", fields, b""),
+        ("slot equal to d", fields, names + _entry_bytes(1, e1) + _entry_bytes(8, e2)),
+        ("slot far beyond d", fields, names + _entry_bytes(2**32 - 1, e1) + _entry_bytes(3, e2)),
+        ("out-of-order slot", fields, names + _entry_bytes(3, e2) + _entry_bytes(1, e1)),
+        ("trailing bytes", fields, names + entries + b"\x00"),
+        ("more entries counted than present", (8, 8, 2, 1, 3), names + entries),
+        ("fewer entries counted than present", (8, 8, 2, 1, 1), names + entries),
+        ("an empty table with a body", (8, 8, 2, 1, 0), names),
+        ("sigma not dividing c", (8, 8, 3, 1, 2), names + entries),
+        ("zero slots", (0, 8, 2, 1, 2), names + entries),
+        ("d above the cap", (MAX_BUCKETS + 1, 8, 2, 1, 2), names + entries),
+    ]
+
+
+@pytest.mark.parametrize("fields, body", [pytest.param(f, b, id=name) for name, f, b in _revocation_case_bodies()])
+def test_malformed_revocation_table_is_corrupt(fields, body):
+    with pytest.raises(CorruptSnapshotError):
+        snapshot_from_bytes(_file(3, 4, fields, body))
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        pytest.param(b"", id="empty"),
+        pytest.param(MAGIC, id="magic only"),
+        pytest.param(b"RVSN1" + bytes(40), id="another version"),
+        pytest.param(_file(4, 1, (), b""), id="unknown kind"),
+        pytest.param(_file(1, 1, (4, 4), b""), id="fixed fields cut short"),
+        pytest.param(_file(1, 1, (4, 4, 2, 1, 1), struct.pack(">4I", 0, 1, 0, 0)), id="counted digest missing"),
+        pytest.param(_file(1, 1, (4, 4, 2, 1, 1), struct.pack(">4I", 0, 2, 0, 0) + bytes(32)), id="counts off the total"),
+        pytest.param(_file(1, 1, (4, 4, 2, 1, 0), struct.pack(">3I", 0, 0, 0)), id="one count short"),
+        pytest.param(_file(1, 1, (4, 4, 2, 1, 0), struct.pack(">4I", 0, 0, 0, 0) + bytes(32)), id="uncounted digest"),
+        pytest.param(_file(2, 1, (1, 3, 2, 0), struct.pack(">2I", 0, 0)), id="segment start off its index"),
+        pytest.param(_file(2, 1, (0, 0, 2, 0), struct.pack(">2I", 0, 0) + b"\x01"), id="segment trailing byte"),
+    ],
+)
+def test_malformed_check_snapshot_is_corrupt(raw):
+    with pytest.raises(CorruptSnapshotError):
+        snapshot_from_bytes(raw)
+
+
+def test_segment_of_another_width_is_a_range_error():
+    # a well-formed segment two buckets wide, where the params make segment 0
+    # four buckets wide: a digest in bucket 3 lies outside it
+    params = TableParams(d=4, c=8, sigma=2, min_anonymity=1)
+    digest = b"\x00" * 7 + b"\x03" + bytes(24)
+    narrow = snapshot_from_bytes(_file(2, 1, (0, 0, 2, 0), struct.pack(">2I", 0, 0)))
+    with pytest.raises(SegmentRangeError):
+        narrow.contains(digest, params)
+    assert build_check_table([digest], params, 1).segment(0).contains(digest, params)
+
+
+@functools.lru_cache(maxsize=None)
+def _samples() -> tuple:
+    """Encoded check tables, segments and revocation tables on both schemes."""
+    return tuple(
+        snapshot_to_bytes(snapshot)
+        for level, seed, entries in (("test", 1, 6), ("test", 2, 0), ("standard", 3, 2))
+        for snapshot in _random_tables(level, seed, entries)
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_decoder_raises_only_corrupt_snapshot_error(data):
+    """Random byte flips, truncations and splices, with the digest left as it
+    is or recomputed over the mutated bytes: the decoder either raises
+    CorruptSnapshotError or returns a snapshot that encodes to exactly those
+    bytes."""
+    samples = _samples()
+    raw = bytearray(data.draw(st.sampled_from(samples)))
+    mutation = data.draw(st.sampled_from(("flip", "truncate", "splice")))
+    if mutation == "flip":
+        for _ in range(data.draw(st.integers(1, 3))):
+            raw[data.draw(st.integers(0, len(raw) - 1))] ^= data.draw(st.integers(1, 255))
+    elif mutation == "truncate":
+        del raw[data.draw(st.integers(0, len(raw) - 1)) :]
+    else:
+        other = data.draw(st.sampled_from(samples))
+        raw = raw[: data.draw(st.integers(0, len(raw)))] + other[data.draw(st.integers(0, len(other))) :]
+    raw = bytes(raw)
+    if data.draw(st.booleans()):
+        raw = _redigest(raw)
+    try:
+        snapshot = snapshot_from_bytes(raw)
+    except CorruptSnapshotError:
+        return
+    assert snapshot_to_bytes(snapshot) == raw
