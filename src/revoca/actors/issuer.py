@@ -235,11 +235,15 @@ def issuer_publish(state: IssuerState, store) -> None:
 
 # state persistence: atomic rewrite, recoverable after a crash mid-rollover
 
+# version 2 stores the revocation table as snapshot-v2 bytes; there is no
+# read path for version 1
+STATE_VERSION = "2"
+
 
 def issuer_state_to_bytes(state: IssuerState) -> bytes:
     return canonical_encode(
         {
-            "version": "2",
+            "version": STATE_VERSION,
             "issuer_id": state.issuer_id,
             "signing_key": state.signing_key,
             "mpp": canonical_encode(ahibe.to_record(state.mpp)),
@@ -253,6 +257,8 @@ def issuer_state_to_bytes(state: IssuerState) -> bytes:
 
 def issuer_state_from_bytes(data: bytes, rng: RandomBytes = default_rng) -> IssuerState:
     rec = canonical_decode(data)
+    if rec.get("version") != STATE_VERSION:
+        raise ValueError(f"unsupported issuer state version {rec.get('version')!r}: this release reads version {STATE_VERSION}")
     return IssuerState(
         issuer_id=rec["issuer_id"],
         signing_key=b64u_decode(rec["signing_key"]),

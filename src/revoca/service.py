@@ -46,9 +46,10 @@ from .tables import (
 
 PARAMS_FILENAME = "params.doc"
 
-# parsed revocation tables a client keeps: today's, yesterday's for past-day
-# authorizations, and room for a few more days
-TABLE_CACHE_DAYS = 4
+# parsed revocation tables a client keeps: today's and yesterday's, the days
+# a check with a past-day authorization fetches (perfbench/workloads.py
+# checks [day - 1, day])
+TABLE_CACHE_DAYS = 2
 
 ROUTES = (
     "/v1/params",
@@ -241,23 +242,19 @@ def resolve_path(store: PublicationStore, path: str) -> Tuple[int, Optional[str]
     """Single route resolver shared by every transport: (status, reason, body)."""
     if "?" in path or "#" in path:
         return 404, "invalid-path", b""
-    if path == "/v1/params":
-        try:
+    try:
+        if path == "/v1/params":
             return 200, None, store.params_bytes()
-        except ResourceNotFound as exc:
-            return 404, exc.reason, b""
-    match = _SEGMENT_RE.fullmatch(path)
-    if match:
-        try:
+        match = _SEGMENT_RE.fullmatch(path)
+        if match:
             return 200, None, store.segment_bytes(int(match.group(1)), int(match.group(2)))
-        except ResourceNotFound as exc:
-            return 404, exc.reason, b""
-    match = _REVOCATION_RE.fullmatch(path)
-    if match:
-        try:
+        match = _REVOCATION_RE.fullmatch(path)
+        if match:
             return 200, None, store.revocation_bytes(int(match.group(1)))
-        except ResourceNotFound as exc:
-            return 404, exc.reason, b""
+    except ResourceNotFound as exc:
+        return 404, exc.reason, b""
+    except CorruptSnapshotError:  # a damaged check file, or one in an older snapshot version
+        return 500, "unreadable-snapshot", b""
     return 404, "unknown-resource", b""
 
 

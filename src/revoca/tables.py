@@ -330,16 +330,17 @@ class RevocationTableSnapshot:
         return (sum(lengths) / len(lengths), max(lengths))
 
     def to_record(self) -> SnapshotRecord:
-        """Body: if there are entries, the scheme id and the header field
-        names once, then per entry in slot order its index, the header field
-        values (fixed widths) and the length-prefixed sealed body."""
+        """Body: if there are entries, the scheme id once, then per entry in
+        slot order its index, the header field values (fixed widths, in the
+        order of `ahibe.header_layout`) and the length-prefixed sealed body."""
         entries = [(index, entry) for index, bucket in enumerate(self.buckets) if bucket for entry in bucket]
         parts = []
         if entries:
             scheme_id = entries[0][1].header.scheme_id
             layout = ahibe.header_layout(scheme_id)
             widths, head = dict(layout), _entry_head(layout)
-            parts.append(_pack_texts([scheme_id, *widths]))
+            raw_id = scheme_id.encode("utf-8")
+            parts.append(bytes([len(raw_id)]) + raw_id)
             for index, entry in entries:
                 fields = entry.header.fields
                 if entry.header.scheme_id != scheme_id or {n: len(v) for n, v in fields.items()} != widths:
@@ -353,10 +354,10 @@ class RevocationTableSnapshot:
         params = TableParams(*params)
         body, pos, entries = rec.body, 0, []
         if count:
-            (scheme_id, *names), pos = _unpack_texts(body)
-            layout = ahibe.header_layout(scheme_id)
-            if names != [name for name, _ in layout]:
-                raise CorruptSnapshotError(f"header fields {names} do not match scheme {scheme_id!r}")
+            pos = 1 + body[0]
+            scheme_id = body[1:pos].decode("utf-8")
+            layout = ahibe.header_layout(scheme_id)  # an unknown scheme is a SchemeError
+            names = [name for name, _ in layout]
             head, last = _entry_head(layout), 0
             for _ in range(count):
                 index, *values, size = head.unpack_from(body, pos)
@@ -387,22 +388,6 @@ def _entry_head(layout) -> struct.Struct:
     """A revocation entry's fixed part: slot, each header field value at its
     width, sealed-body length."""
     return struct.Struct(">I" + "".join(f"{width}s" for _, width in layout) + "I")
-
-
-def _pack_texts(texts) -> bytes:
-    """A count byte, then each text as a length byte and its UTF-8 bytes."""
-    raw = [text.encode("utf-8") for text in texts]
-    return bytes([len(raw)]) + b"".join(bytes([len(r)]) + r for r in raw)
-
-
-def _unpack_texts(body: bytes) -> tuple:
-    """(texts, offset after them); inverse of `_pack_texts`."""
-    texts, pos = [], 1
-    for _ in range(body[0]):
-        end = pos + 1 + body[pos]  # a text cut short leaves pos past the body, which the caller rejects
-        texts.append(body[pos + 1 : end].decode("utf-8"))
-        pos = end
-    return texts, pos
 
 
 def snapshot_to_bytes(snapshot) -> bytes:

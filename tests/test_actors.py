@@ -208,6 +208,12 @@ class TestIssuer:
         assert snapshot_to_bytes(c1) == snapshot_to_bytes(c2)
         assert snapshot_to_bytes(r1) == snapshot_to_bytes(r2)
 
+    def test_state_of_another_version_is_refused(self, world):
+        rec = canonical_decode(actors.issuer_state_to_bytes(world.issuer))
+        rec["version"] = "1"
+        with pytest.raises(ValueError, match="unsupported issuer state version '1'"):
+            actors.issuer_state_from_bytes(canonical_encode(rec), world.rng)
+
 
 class TestHolder:
     def test_store_rejections(self, world):

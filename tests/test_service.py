@@ -6,6 +6,7 @@ import threading
 
 import pytest
 
+from oracles import snapshot_to_bytes_v1
 from revoca import actors, ahibe, service
 from revoca.primitives import generate_signing_key, signing_public_key
 from revoca.tables import (
@@ -204,6 +205,31 @@ class TestClient:
         assert service.resolve_path(store, "/v1/params")[:2] == (404, "params-not-published")
         assert service.resolve_path(store, "/v1/days/99/revocation")[:2] == (404, "unknown-day")
         assert service.resolve_path(store, "/v1/days/99/check/segments/0")[:2] == (404, "unknown-day")
+
+    def test_version_1_archive_is_a_classed_error(self, world):
+        # archives written before snapshot version 2 are still on disk inside
+        # the retention window: the server answers a classed status for a
+        # check file it cannot read, and the client rejects the table
+        store = world["store"]
+        check, revocation = actors.issuer_export_day(world["issuer"])
+        store.check_path(10).write_bytes(snapshot_to_bytes_v1(check))
+        store.revocation_path(10).write_bytes(snapshot_to_bytes_v1(revocation))
+        assert service.resolve_path(store, "/v1/days/10/check/segments/0") == (500, "unreadable-snapshot", b"")
+        server, url = service.serve_in_thread(store.root)
+        try:
+            client = service.TableClient(service.HttpTransport(url))
+            assert client.transport.get("/v1/days/10/check/segments/0")[:2] == (500, "unreadable-snapshot")
+            with pytest.raises(service.ResourceNotFound):
+                client.fetch_segment(10, 0)
+            with pytest.raises(CorruptSnapshotError):
+                client.fetch_revocation_table(10)
+            rng = world["rng"]
+            presentation = actors.holder_present(world["wallet"], world["credential"].vc_id, [10], rng(16), rng)
+            with pytest.raises(actors.SnapshotUnavailable):
+                actors.verifier_check(presentation, world["trust"], client, 10, rng)
+        finally:
+            server.shutdown()
+            server.server_close()
 
     def test_alternating_days_parse_each_table_once(self, world, monkeypatch):
         # a past-day authorization fetches yesterday's table beside today's:

@@ -320,8 +320,8 @@ def _file(kind: int, day: int, fields: tuple, body: bytes) -> bytes:
     return _redigest(MAGIC + bytes(32) + struct.pack(f">BQ{len(fields)}I", kind, day, *fields) + body)
 
 
-def _texts(*texts: str) -> bytes:
-    return bytes([len(texts)]) + b"".join(bytes([len(t.encode())]) + t.encode() for t in texts)
+def _scheme(scheme_id: str) -> bytes:
+    return bytes([len(scheme_id.encode())]) + scheme_id.encode()
 
 
 def _entry_bytes(index: int, entry: RevocationEntry) -> bytes:
@@ -361,7 +361,7 @@ class TestCodecV2:
         doc = RevocationDocument(vc_id=rb(16), status="revoked", reason="", effective_from=7, sequence=0)
         e1, e2, e3 = (_entry_for(mpp, msk, rb, "h", 7, doc.vc_id, doc) for _ in range(3))
         table = RevocationTableSnapshot.empty(params, 7).insert(5, e1).insert(2, e2).insert(5, e3)
-        body = _texts("transparent-v1", "nonce") + _entry_bytes(2, e2) + _entry_bytes(5, e1) + _entry_bytes(5, e3)
+        body = _scheme("transparent-v1") + _entry_bytes(2, e2) + _entry_bytes(5, e1) + _entry_bytes(5, e3)
         assert snapshot_to_bytes(table) == _file(3, 7, (8, 4, 2, 3, 3), body)
         assert snapshot_to_bytes(RevocationTableSnapshot.empty(params, 7)) == _file(3, 7, (8, 4, 2, 3, 0), b"")
 
@@ -433,33 +433,31 @@ def _revocation_case_bodies():
     mpp, msk, rb = _transparent_world()
     doc = RevocationDocument(vc_id=rb(16), status="revoked", reason="", effective_from=4, sequence=0)
     e1, e2 = (_entry_for(mpp, msk, rb, "h", 4, doc.vc_id, doc) for _ in range(2))
-    names = _texts("transparent-v1", "nonce")
+    scheme = _scheme("transparent-v1")
     entries = _entry_bytes(1, e1) + _entry_bytes(3, e2)
     fields = (8, 8, 2, 1, 2)
-    valid = _file(3, 4, fields, names + entries)
+    valid = _file(3, 4, fields, scheme + entries)
     assert snapshot_from_bytes(valid).buckets[3] == (e2,)
     return [
-        ("no header field names", fields, _texts("transparent-v1") + entries),
-        ("extra header field name", fields, _texts("transparent-v1", "nonce", "x") + entries),
-        ("renamed header field", fields, _texts("transparent-v1", "seed") + entries),
-        ("version-1 header shape", fields, _texts("x") + entries),
-        ("unknown scheme", fields, _texts("x", "nonce") + entries),
-        ("no layout at all", fields, entries),
-        ("scheme id not UTF-8", fields, bytes([2, 2, 0xC3, 0x28, 5]) + b"nonce" + entries),
-        ("truncated body", fields, names + entries[:-1]),
-        ("truncated entry", fields, names + entries[:-len(e2.sealed_body) - 20]),
-        ("truncated layout", fields, names[:5]),
+        ("unknown scheme, as the version-1 header", fields, _scheme("x") + entries),
+        ("header fields of another scheme", fields, _scheme("bw2-bls381-v1") + entries),
+        ("no scheme id at all", fields, entries),
+        ("scheme id not UTF-8", fields, bytes([2, 0xC3, 0x28]) + entries),
+        ("scheme id longer than the body", fields, bytes([200]) + b"transparent-v1"),
+        ("truncated body", fields, scheme + entries[:-1]),
+        ("truncated entry", fields, scheme + entries[:-len(e2.sealed_body) - 20]),
+        ("truncated scheme id", fields, scheme[:5]),
         ("empty body", fields, b""),
-        ("slot equal to d", fields, names + _entry_bytes(1, e1) + _entry_bytes(8, e2)),
-        ("slot far beyond d", fields, names + _entry_bytes(2**32 - 1, e1) + _entry_bytes(3, e2)),
-        ("out-of-order slot", fields, names + _entry_bytes(3, e2) + _entry_bytes(1, e1)),
-        ("trailing bytes", fields, names + entries + b"\x00"),
-        ("more entries counted than present", (8, 8, 2, 1, 3), names + entries),
-        ("fewer entries counted than present", (8, 8, 2, 1, 1), names + entries),
-        ("an empty table with a body", (8, 8, 2, 1, 0), names),
-        ("sigma not dividing c", (8, 8, 3, 1, 2), names + entries),
-        ("zero slots", (0, 8, 2, 1, 2), names + entries),
-        ("d above the cap", (MAX_BUCKETS + 1, 8, 2, 1, 2), names + entries),
+        ("slot equal to d", fields, scheme + _entry_bytes(1, e1) + _entry_bytes(8, e2)),
+        ("slot far beyond d", fields, scheme + _entry_bytes(2**32 - 1, e1) + _entry_bytes(3, e2)),
+        ("out-of-order slot", fields, scheme + _entry_bytes(3, e2) + _entry_bytes(1, e1)),
+        ("trailing bytes", fields, scheme + entries + b"\x00"),
+        ("more entries counted than present", (8, 8, 2, 1, 3), scheme + entries),
+        ("fewer entries counted than present", (8, 8, 2, 1, 1), scheme + entries),
+        ("an empty table with a body", (8, 8, 2, 1, 0), scheme),
+        ("sigma not dividing c", (8, 8, 3, 1, 2), scheme + entries),
+        ("zero slots", (0, 8, 2, 1, 2), scheme + entries),
+        ("d above the cap", (MAX_BUCKETS + 1, 8, 2, 1, 2), scheme + entries),
     ]
 
 
