@@ -23,6 +23,7 @@ from ..primitives import (
 )
 from ..tables import RevocationTableSnapshot, slot_for_digest
 from .credentials import Presentation, TemporalAuthorization, VerifiableCredential, pop_payload
+from .verifier import SnapshotUnavailable
 
 
 class WalletRejection(ValueError):
@@ -136,18 +137,22 @@ def holder_audit(
     vc_id: bytes,
     day: int,
     snapshot: RevocationTableSnapshot,
-    mpp: ahibe.MasterPublicParams,
+    document,
     rng: RandomBytes = default_rng,
 ) -> list:
     """Recompute this credential's slot and scan it with the wallet's own
     key: lets a holder see exactly what verifiers would see, so publisher
-    misbehavior is detectable."""
+    misbehavior is detectable. `document` is the published params document;
+    a snapshot without its table parameters is SnapshotUnavailable, as it is
+    to a verifier."""
     if snapshot.day != day:
         raise ValueError(f"snapshot is for day {snapshot.day}, not {day}")
+    if snapshot.params != document.table_params:
+        raise SnapshotUnavailable(f"revocation table for day {day} does not have the published parameters")
     record = wallet.get(vc_id)
     credential = record.credential
     token = derive_day_token(record.seed, day - credential.issued_day)
     digest = compute_check_digest(token, vc_id)
-    index = slot_for_digest(mpp, credential.root, day, digest, snapshot.params)
+    index = slot_for_digest(document.mpp, credential.root, day, digest, snapshot.params)
     day_key = ahibe.delegate(record.holder_key, day, rng)
     return snapshot.scan(index, day_key, credential.root, day, vc_id)

@@ -1,13 +1,21 @@
 """Verifier role: the revocation information check.
 
-Per authorization the pipeline is fixed: verify signatures, probe the day
+Per authorization the pipeline is fixed: verify signatures, check the day
 key, authenticate the day token against the published check-table segment,
 recompute the table index, download the whole revocation table, scan one
 overflow list. It halts at the first failure with a classed error; a
 StatusResult comes back only when every authorization checks out.
 
+The key check is deterministic and needs no randomness. It is made for the
+credential's root and the authorization's day, not for the identity the
+day key names. Under the bw2 scheme it is the decapsulation identity on the
+key's G2-checked points, whose prepared Miller-loop lines the scan's
+`decap` calls then reuse (see `ahibe.pairing_scheme`).
+
 The verifier's network behavior is deliberately uniform: one segment fetch
 plus one whole-table fetch per authorization, never a per-credential query.
+A revocation table whose parameters differ from the params document's is
+unavailable, not scanned.
 """
 
 from __future__ import annotations
@@ -75,7 +83,7 @@ def verifier_check(
     trust_store: TrustStore,
     table_source,
     current_day: int,
-    rng: RandomBytes = default_rng,
+    rng: RandomBytes = default_rng,  # unused; perfbench/workloads.py passes it
 ) -> StatusResult:
     """Run the full check against published tables; raises a classed
     VerificationError at the first failing step."""
@@ -106,7 +114,7 @@ def verifier_check(
         if not credential.issued_day <= day <= credential.expiry_day:
             raise CheckDigestNotFound(f"authorization day {day} outside credential validity")
         identity = ahibe.IdentityPath(credential.root, day)
-        if not ahibe.probe_key(mpp, identity, auth.day_key, rng):
+        if not ahibe.probe_key(mpp, identity, auth.day_key):
             raise KeyProbeFailed(f"day key does not open ciphertexts for day {day}")
         if day > current_day:
             raise DeferredFutureDay(f"day {day} has not arrived; re-check once it has")
@@ -131,6 +139,8 @@ def verifier_check(
         except LookupError as exc:
             raise SnapshotUnavailable(f"no revocation snapshot for day {day}") from exc
         table_bytes += fetched
+        if table.params != params:
+            raise SnapshotUnavailable(f"revocation table for day {day} does not have the published parameters")
         documents = table.scan(index, auth.day_key, credential.root, day, credential.vc_id)
         statuses[day] = tuple(documents)
 

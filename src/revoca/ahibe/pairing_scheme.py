@@ -17,6 +17,20 @@ Ducas, "Anonymity from Asymmetry", CT-RSA 2010):
   key = hash(Omega^s, header). Decapsulation pairs the header against
   (b0, b1, b2); any identity mismatch leaves an uncancelled pairing factor
   and thus a key that fails AEAD authentication downstream.
+* key check for (H, T): the decapsulation identity at s = 1,
+
+      e(g, b0) * e(-F1(H), b1) * e(-F2(T), b2) == Omega
+
+  (Boyen-Waters, CRYPTO 2006). Decapsulation raises each pairing to s, so
+  for points inside G2 a key passes exactly when it decapsulates every
+  honest header for (H, T). It needs no randomness and no encapsulation.
+
+Day-key points are untrusted input: they are decoded with the G2 membership
+test psi(Q) == [x]Q (Scott, ePrint 2021/1130), outside of which the identity
+above says nothing about decapsulation. Decoded once per day key, their
+Miller-loop lines are prepared once too (`pairing.g2_lines`) and shared by
+the key check and every `decap` of the scan that follows it. Only
+`delegate`, on the holder's own stored key, decodes G2 points unchecked.
 
 A day-scoped header component is testable by anyone holding delegation
 material; revocation tables are published per day, so the day is public
@@ -39,6 +53,7 @@ from ..pairing import (
     g1_to_bytes,
     g2_add,
     g2_from_bytes,
+    g2_lines,
     g2_mul,
     g2_to_bytes,
     gt_from_bytes,
@@ -65,7 +80,7 @@ _E_GG = None  # e(g, ghat), computed once per process
 def _base_pairing():
     global _E_GG
     if _E_GG is None:
-        _E_GG = pairing(G1_GEN, G2_GEN)
+        _E_GG = pairing(G1_GEN, g2_lines(G2_GEN))
     return _E_GG
 
 
@@ -166,13 +181,17 @@ def _decode_public(u10: bytes, u11: bytes, u20: bytes, u21: bytes, omega: bytes)
     return (g1_from_bytes(u10), g1_from_bytes(u11), g1_from_bytes(u20), g1_from_bytes(u21), omega_gt)
 
 
-def _encap_with_scalar(mpp, identity, s: int):
+def _identity_points(mpp, identity):
+    """(F1(root), F2(day), Omega) in G1, G1 and GT."""
     fields = mpp.fields
     u10, u11, u20, u21, omega = _decode_public(*(fields[k] for k in ("u10", "u11", "u20", "u21", "omega")))
-    h1 = _root_exponent(identity.root)
-    tau = _day_exponent(identity.day)
-    f1 = g1_add(u10, g1_mul(u11, h1))
-    f2 = g1_add(u20, g1_mul(u21, tau))
+    f1 = g1_add(u10, g1_mul(u11, _root_exponent(identity.root)))
+    f2 = g1_add(u20, g1_mul(u21, _day_exponent(identity.day)))
+    return f1, f2, omega
+
+
+def _encap_with_scalar(mpp, identity, s: int):
+    f1, f2, omega = _identity_points(mpp, identity)
     header = EncapHeader(
         scheme_id=SCHEME_ID,
         fields={
@@ -198,12 +217,29 @@ def det_encap(mpp, identity, binding: bytes):
     return _encap_with_scalar(mpp, identity, s)
 
 
+# one entry: a key check and the scan after it use the same day key
+@functools.lru_cache(maxsize=1)
+def _prepared_lines(b0: bytes, b1: bytes, b2: bytes) -> tuple:
+    """The Miller-loop lines of a day key's (b0, b1, b2), each point decoded
+    with the G2 membership test."""
+    return tuple(g2_lines(g2_from_bytes(raw)) for raw in (b0, b1, b2))
+
+
+def _day_key_lines(dk) -> tuple:
+    material = dk.key_material
+    return _prepared_lines(material["b0"], material["b1"], material["b2"])
+
+
+def probe_key(mpp, identity, dk) -> bool:
+    lines0, lines1, lines2 = _day_key_lines(dk)
+    f1, f2, omega = _identity_points(mpp, identity)
+    return pairing_product([(G1_GEN, lines0), (g1_neg(f1), lines1), (g1_neg(f2), lines2)]) == omega
+
+
 def decap(dk, header) -> bytes:
+    lines0, lines1, lines2 = _day_key_lines(dk)
     b = g1_from_bytes(header.fields["b"])
     c1 = g1_from_bytes(header.fields["c1"])
     c2 = g1_from_bytes(header.fields["c2"])
-    b0 = g2_from_bytes(dk.key_material["b0"], check_subgroup=False)
-    b1 = g2_from_bytes(dk.key_material["b1"], check_subgroup=False)
-    b2 = g2_from_bytes(dk.key_material["b2"], check_subgroup=False)
-    shared = pairing_product([(b, b0), (g1_neg(c1), b1), (g1_neg(c2), b2)])
+    shared = pairing_product([(b, lines0), (g1_neg(c1), lines1), (g1_neg(c2), lines2)])
     return _kem_key(shared, header)

@@ -9,6 +9,8 @@ milliseconds. Never deploy it.
 
 from __future__ import annotations
 
+import hmac
+
 from ..primitives import RandomBytes, hkdf_sha256
 # defined in the package before it imports the schemes
 from . import DayKey, EncapHeader, HolderKey, MasterPublicParams, MasterSecret, det_randomness
@@ -69,6 +71,11 @@ def encap(mpp, identity, rng: RandomBytes):
 
 def det_encap(mpp, identity, binding: bytes):
     return _encap_with_nonce(mpp, identity, det_randomness(identity, binding)[:32])
+
+
+def probe_key(mpp, identity, dk) -> bool:
+    expected = _day_key(_root_key(mpp.fields["master"], identity.root), identity.day)
+    return hmac.compare_digest(dk.key_material["day_key"], expected)
 
 
 def decap(dk, header) -> bytes:

@@ -272,7 +272,7 @@ def cmd_holder_audit(args) -> int:
     client = _table_client(args)
     document = client.params()
     snapshot, _ = client.fetch_revocation_table(args.day)
-    documents = actors.holder_audit(wallet, vc_id_from_hex(args.vc_id), args.day, snapshot, document.mpp)
+    documents = actors.holder_audit(wallet, vc_id_from_hex(args.vc_id), args.day, snapshot, document)
     print(json.dumps({"day": args.day, "documents": [d.to_record() for d in documents]}))
     return 0
 

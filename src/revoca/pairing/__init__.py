@@ -20,6 +20,7 @@ from .curves import (  # noqa: F401
 )
 from .pairing import (  # noqa: F401
     final_exponentiation,
+    g2_lines,
     gt_from_bytes,
     gt_pow,
     gt_to_bytes,

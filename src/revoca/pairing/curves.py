@@ -12,12 +12,14 @@ from __future__ import annotations
 from .fields import (
     BLS_X,
     P,
-    R,
     FQ2_ZERO,
+    XI,
     fq2_add,
+    fq2_conj,
     fq2_inv,
     fq2_mul,
     fq2_neg,
+    fq2_pow,
     fq2_scalar,
     fq2_sqr,
     fq2_sqrt,
@@ -243,8 +245,29 @@ def _g2_jac_to_affine(pt):
     return (fq2_mul(X, zi2), fq2_mul(fq2_mul(Y, zi2), zi))
 
 
+# psi(x, y) = (conj(x)*cx, conj(y)*cy), untwist-Frobenius-twist, acts on G2 as
+# multiplication by x (the BLS parameter, negative) for one of the two
+# candidate constant pairs: powers of xi = 1 + u or their inverses
+_PSI = next(
+    (cx, cy)
+    for cx, cy in (
+        (fq2_pow(XI, (P - 1) // 3), fq2_pow(XI, (P - 1) // 2)),
+        (fq2_inv(fq2_pow(XI, (P - 1) // 3)), fq2_inv(fq2_pow(XI, (P - 1) // 2))),
+    )
+    if (fq2_mul(fq2_conj(G2_GEN[0]), cx), fq2_mul(fq2_conj(G2_GEN[1]), cy)) == g2_neg(g2_mul(G2_GEN, BLS_X))
+)
+
+
 def g2_in_subgroup(pt) -> bool:
-    return g2_is_on_curve(pt) and g2_mul(pt, R) is None
+    """Membership of an affine point in G2: on the twist and psi(Q) == -[|x|]Q,
+    one multiplication by |x| (Scott, ePrint 2021/1130)."""
+    if pt is None:
+        return True
+    if not g2_is_on_curve(pt):
+        return False
+    cx, cy = _PSI
+    x, y = pt
+    return g2_mul(pt, BLS_X) == (fq2_mul(fq2_conj(x), cx), fq2_neg(fq2_mul(fq2_conj(y), cy)))
 
 
 # compressed serialization

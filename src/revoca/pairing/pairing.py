@@ -2,14 +2,19 @@
 
 Miller loop: each G2 point walks the bits of |x| on the twist in Jacobian
 coordinates (X, Y, Z) = (X/Z^2, Y/Z^3), so no step inverts. Every doubling
-and addition step also returns its line through the untwist isomorphism
-(x, y) -> (x/w^2, y/w^3), evaluated at the G1 point and scaled by w^3 and by
-the step's denominator: l0 + l1*w^2 + l4*w^3, which `fq12_mul_014` multiplies
-into the accumulator (Costello-Lange-Naehrig, PKC 2010). Those scale factors
-lie in Fq2 or are w^3, and the final exponentiation maps them to 1, so the
-pairing equals the one with affine lines bit for bit. `pairing_product`
-shares one Miller accumulator and one final exponentiation across several
-(G1, G2) pairs, which is what decapsulation wants.
+and addition step also yields its line through the untwist isomorphism
+(x, y) -> (x/w^2, y/w^3), scaled by w^3 and by the step's denominator:
+l0 + l1*w^2 + l4*w^3, which `fq12_mul_014` multiplies into the accumulator
+(Costello-Lange-Naehrig, PKC 2010). Those scale factors lie in Fq2 or are
+w^3, and the final exponentiation maps them to 1, so the pairing equals the
+one with affine lines bit for bit. Only l1 and l4 depend on the G1 point
+(xp, yp), and only as the factors xp and yp, so `g2_lines` walks a G2 point
+once and stores its lines as evaluated at (1, 1); the Miller loop then only
+scales them at each G1 point (Costello-Stebila, "Fixed argument pairings",
+LATINCRYPT 2010). A day key's lines serve its key check and every entry a
+scan opens. `pairing_product` shares one Miller accumulator and one final
+exponentiation across several (G1, G2) pairs, which is what decapsulation
+wants.
 
 Final exponentiation: the easy part (q^6-1)(q^2+1), then the hard part
 Phi_12(q)/r by the exact BLS12 decomposition (Hayashida-Hayasaka-Teruya,
@@ -55,8 +60,9 @@ assert _rem == 0
 assert P**4 - P**2 + 1 == R * (_LAMBDA * (_X + P) * (_X**2 + P**2 - 1) + 1)
 
 
-def _double_line(t, xp, yp):
-    """2T in Jacobian coordinates, plus the tangent line at T evaluated at P."""
+def _double_line(t):
+    """2T in Jacobian coordinates, plus the tangent line at T as evaluated at
+    the point (1, 1)."""
     X, Y, Z = t
     A = fq2_sqr(X)
     B = fq2_sqr(Y)
@@ -70,15 +76,15 @@ def _double_line(t, xp, yp):
     # slope 3X^2/(2YZ); the line is scaled by 2YZ^3 = Z3*ZZ
     line = (
         fq2_sub(fq2_mul(E, X), fq2_scalar(B, 2)),
-        fq2_scalar(fq2_mul(E, ZZ), -xp),
-        fq2_scalar(fq2_mul(Z3, ZZ), yp),
+        fq2_scalar(fq2_mul(E, ZZ), -1),
+        fq2_mul(Z3, ZZ),
     )
     return (X3, Y3, Z3), line
 
 
-def _add_line(t, q, xp, yp):
+def _add_line(t, q):
     """T + Q (Q affine) in Jacobian coordinates, plus the chord through T and Q
-    evaluated at P."""
+    as evaluated at the point (1, 1)."""
     X1, Y1, Z1 = t
     xq, yq = q
     Z1Z1 = fq2_sqr(Z1)
@@ -93,28 +99,47 @@ def _add_line(t, q, xp, yp):
     # slope rr/Z3; the line is scaled by Z3
     line = (
         fq2_sub(fq2_mul(rr, xq), fq2_mul(Z3, yq)),
-        fq2_scalar(rr, -xp),
-        fq2_scalar(Z3, yp),
+        fq2_scalar(rr, -1),
+        Z3,
     )
     return (X3, Y3, Z3), line
 
 
-def miller_loop_product(pairs) -> tuple:
-    """Product of Miller values f_{|x|}(P_i, Q_i), conjugated for x < 0."""
-    live = [((p[0] % P, p[1] % P), q) for p, q in pairs if p is not None and q is not None]
-    if not live:
-        return FQ12_ONE
-    ts = [(q[0], q[1], (1, 0)) for _, q in live]
-    f = FQ12_ONE
+def g2_lines(q):
+    """The Miller loop's lines for a fixed G2 point: per step, doublings and
+    additions in loop order, the coefficients (l0, l1, l4) of the line as
+    evaluated at (1, 1). At a G1 point (xp, yp) that line is (l0, xp*l1,
+    yp*l4). None (the point at infinity) has no lines."""
+    if q is None:
+        return None
+    t = (q[0], q[1], (1, 0))
+    lines = []
     for bit in _X_BITS:
-        f = fq12_sqr(f)
-        for i, ((xp, yp), q) in enumerate(live):
-            ts[i], line = _double_line(ts[i], xp, yp)
-            f = fq12_mul_014(f, *line)
+        t, line = _double_line(t)
+        lines.append(line)
         if bit == "1":
-            for i, ((xp, yp), q) in enumerate(live):
-                ts[i], line = _add_line(ts[i], q, xp, yp)
-                f = fq12_mul_014(f, *line)
+            t, line = _add_line(t, q)
+            lines.append(line)
+    return tuple(lines)
+
+
+# per Miller-loop step: whether the accumulator is squared first (a doubling)
+_SQUARE_FIRST = tuple(square for bit in _X_BITS for square in ((True, False) if bit == "1" else (True,)))
+
+
+def miller_loop_product(pairs) -> tuple:
+    """Product of Miller values f_{|x|}(P_i, Q_i), conjugated for x < 0, over
+    (G1 point, `g2_lines(Q_i)`) pairs."""
+    live = [(p[0] % P, p[1] % P, lines) for p, lines in pairs if p is not None and lines is not None]
+    f = FQ12_ONE
+    if not live:
+        return f
+    for step, square in enumerate(_SQUARE_FIRST):
+        if square:
+            f = fq12_sqr(f)
+        for xp, yp, lines in live:
+            l0, l1, l4 = lines[step]
+            f = fq12_mul_014(f, l0, fq2_scalar(l1, xp), fq2_scalar(l4, yp))
     return fq12_conj(f)  # BLS parameter is negative
 
 
@@ -128,13 +153,14 @@ def final_exponentiation(f) -> tuple:
     return fq12_mul(c, f)
 
 
-def pairing(p, q) -> tuple:
-    """e(P, Q) for P in G1, Q in G2 (affine, subgroup members)."""
-    return final_exponentiation(miller_loop_product([(p, q)]))
+def pairing(p, lines) -> tuple:
+    """e(P, Q) for P in G1 (affine) and the lines `g2_lines(Q)` of Q in G2."""
+    return final_exponentiation(miller_loop_product([(p, lines)]))
 
 
 def pairing_product(pairs) -> tuple:
-    """prod_i e(P_i, Q_i) with a shared loop and one final exponentiation."""
+    """prod_i e(P_i, Q_i) over (P_i, `g2_lines(Q_i)`) pairs, with a shared
+    loop and one final exponentiation."""
     return final_exponentiation(miller_loop_product(pairs))
 
 

@@ -29,7 +29,6 @@ VC_ID_LEN = 16
 NONCE_LEN = 12
 
 DAY_TOKEN_CONTEXT = b"revoca/day-token/v1"
-KEY_PROBE_CONTEXT = b"revoca/key-probe/v1"
 
 
 class AuthFailure(Exception):

@@ -26,6 +26,7 @@ from typing import Iterable, Mapping, Optional
 
 from . import ahibe
 from .encoding import canonical_decode, canonical_encode, write_atomic
+from .pairing import PointDecodeError
 from .primitives import AuthFailure, check_bucket, index_from_ciphertext, open_sealed, vc_id_from_hex, vc_id_hex
 
 SNAPSHOT_VERSION = "2"
@@ -298,15 +299,19 @@ class RevocationTableSnapshot:
         """Try every entry in one overflow list against a day key.
 
         Entries sealed for other identities fail AEAD authentication and are
-        skipped; opened entries must contain a well-formed document for the
-        queried credential or the publisher misbehaved.
+        skipped; a header that does not decode, or an opened entry that is not
+        a well-formed document for the queried credential, means the
+        publisher misbehaved.
         """
         if not 0 <= index < self.params.d:
             raise IndexError(f"bucket index {index} out of range [0, {self.params.d})")
         associated = revocation_associated_data(root, day, vc_id)
         found = []
         for entry in self.buckets[index]:
-            key = ahibe.decap(dk, entry.header)
+            try:
+                key = ahibe.decap(dk, entry.header)
+            except PointDecodeError as exc:  # the day key is checked (verifier) or self-made (holder)
+                raise IntegrityError(f"undecodable entry header in bucket {index}") from exc
             try:
                 plaintext = open_sealed(entry.sealed_body, key, associated)
             except AuthFailure:

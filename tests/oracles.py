@@ -5,13 +5,17 @@ the HMAC oracle builds the block construction directly on hashlib, the HKDF
 oracle uses the `cryptography` library (the package's own HKDF is hand
 written on stdlib hmac), and the statistical oracles are direct summations
 and simulations. The pairing oracles are the package's earlier, slower
-arithmetic: an affine Miller loop with one field inversion per step, a final
-exponentiation by the generic hard-part exponent with plain Fq12 squaring,
-the G1 subgroup check by multiplication with the group order, and the affine
-chord-and-tangent point additions. The table oracles are the package's
-earlier table code: the version-1 snapshot codec (canonical JSON records
-with a SHA-256 over their canonical re-encoding) and the rollover build that
-inserts one document at a time.
+arithmetic: an affine Miller loop with one field inversion per step, the
+Jacobian Miller loop that walks the G2 points themselves rather than their
+prepared lines, a final exponentiation by the generic hard-part exponent
+with plain Fq12 squaring, the G1 and G2 subgroup checks by multiplication
+with the group order, and the affine chord-and-tangent point additions. The
+key-check oracle is the package's earlier randomized probe: encapsulate
+fresh, seal a random probe and open it with the day key, whose bw2 points
+are decoded unchecked. The table oracles are the package's earlier table
+code: the version-1 snapshot codec (canonical JSON records with a SHA-256
+over their canonical re-encoding) and the rollover build that inserts one
+document at a time.
 """
 
 from __future__ import annotations
@@ -25,8 +29,10 @@ from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
 from revoca import ahibe
 from revoca.actors.issuer import _build_entry
+from revoca.ahibe import pairing_scheme
 from revoca.encoding import CanonicalDecodeError, b64u_decode, canonical_decode, canonical_encode
-from revoca.pairing.curves import g1_is_on_curve, g1_mul
+from revoca.pairing import final_exponentiation, g1_from_bytes, g1_neg, g2_from_bytes
+from revoca.pairing.curves import g1_is_on_curve, g1_mul, g2_is_on_curve, g2_mul
 from revoca.pairing.fields import (
     BLS_X,
     FQ12_ONE,
@@ -44,9 +50,11 @@ from revoca.pairing.fields import (
     fq12_frob2,
     fq12_inv,
     fq12_mul,
+    fq12_mul_014,
     fq12_sqr,
     fq_inv,
 )
+from revoca.primitives import AuthFailure, open_sealed, seal
 from revoca.tables import (
     CheckSegment,
     CheckTableSnapshot,
@@ -155,6 +163,71 @@ def miller_loop_oracle(pairs):
     return fq12_conj(f)
 
 
+def _jacobian_double_line(t, xp, yp):
+    """2T in Jacobian coordinates, plus the tangent line at T evaluated at P."""
+    X, Y, Z = t
+    A = fq2_sqr(X)
+    B = fq2_sqr(Y)
+    C = fq2_sqr(B)
+    D = fq2_scalar(fq2_sub(fq2_sqr(fq2_add(X, B)), fq2_add(A, C)), 2)
+    E = fq2_scalar(A, 3)
+    X3 = fq2_sub(fq2_sqr(E), fq2_scalar(D, 2))
+    Y3 = fq2_sub(fq2_mul(E, fq2_sub(D, X3)), fq2_scalar(C, 8))
+    Z3 = fq2_scalar(fq2_mul(Y, Z), 2)
+    ZZ = fq2_sqr(Z)
+    # slope 3X^2/(2YZ); the line is scaled by 2YZ^3 = Z3*ZZ
+    line = (
+        fq2_sub(fq2_mul(E, X), fq2_scalar(B, 2)),
+        fq2_scalar(fq2_mul(E, ZZ), -xp),
+        fq2_scalar(fq2_mul(Z3, ZZ), yp),
+    )
+    return (X3, Y3, Z3), line
+
+
+def _jacobian_add_line(t, q, xp, yp):
+    """T + Q (Q affine) in Jacobian coordinates, plus the chord through T and Q
+    evaluated at P."""
+    X1, Y1, Z1 = t
+    xq, yq = q
+    Z1Z1 = fq2_sqr(Z1)
+    H = fq2_sub(fq2_mul(xq, Z1Z1), X1)
+    rr = fq2_scalar(fq2_sub(fq2_mul(fq2_mul(yq, Z1), Z1Z1), Y1), 2)
+    I = fq2_scalar(fq2_sqr(H), 4)
+    J = fq2_mul(H, I)
+    V = fq2_mul(X1, I)
+    X3 = fq2_sub(fq2_sub(fq2_sqr(rr), J), fq2_scalar(V, 2))
+    Y3 = fq2_sub(fq2_mul(rr, fq2_sub(V, X3)), fq2_scalar(fq2_mul(Y1, J), 2))
+    Z3 = fq2_scalar(fq2_mul(Z1, H), 2)
+    # slope rr/Z3; the line is scaled by Z3
+    line = (
+        fq2_sub(fq2_mul(rr, xq), fq2_mul(Z3, yq)),
+        fq2_scalar(rr, -xp),
+        fq2_scalar(Z3, yp),
+    )
+    return (X3, Y3, Z3), line
+
+
+def miller_loop_points_oracle(pairs):
+    """Jacobian Miller loop over raw (G1, G2) point pairs, each G2 point walked
+    inside the loop; its Miller values equal the prepared-line loop's bit
+    for bit."""
+    live = [((p[0] % P, p[1] % P), q) for p, q in pairs if p is not None and q is not None]
+    if not live:
+        return FQ12_ONE
+    ts = [(q[0], q[1], (1, 0)) for _, q in live]
+    f = FQ12_ONE
+    for bit in _X_BITS:
+        f = fq12_sqr(f)
+        for i, ((xp, yp), q) in enumerate(live):
+            ts[i], line = _jacobian_double_line(ts[i], xp, yp)
+            f = fq12_mul_014(f, *line)
+        if bit == "1":
+            for i, ((xp, yp), q) in enumerate(live):
+                ts[i], line = _jacobian_add_line(ts[i], q, xp, yp)
+                f = fq12_mul_014(f, *line)
+    return fq12_conj(f)
+
+
 def fq12_pow_oracle(x, e: int):
     """x^e by binary square-and-multiply with the generic Fq12 squaring."""
     result = FQ12_ONE
@@ -178,6 +251,10 @@ def pairing_product_oracle(pairs):
 
 def g1_in_subgroup_oracle(pt) -> bool:
     return g1_is_on_curve(pt) and g1_mul(pt, R) is None
+
+
+def g2_in_subgroup_oracle(pt) -> bool:
+    return g2_is_on_curve(pt) and g2_mul(pt, R) is None
 
 
 def g1_add_oracle(p1, p2):
@@ -214,6 +291,37 @@ def g2_add_oracle(p1, p2):
         lam = fq2_mul(fq2_sub(y2, y1), fq2_inv(fq2_sub(x2, x1)))
     x3 = fq2_sub(fq2_sub(fq2_sqr(lam), x1), x2)
     return (x3, fq2_sub(fq2_mul(lam, fq2_sub(x1, x3)), y1))
+
+
+# randomized key probe
+
+_KEY_PROBE_CONTEXT = b"revoca/key-probe/v1"
+
+
+def _decap_oracle(dk, header) -> bytes:
+    """`ahibe.decap`, with bw2 day-key points decoded unchecked and paired by
+    the raw-point Miller loop."""
+    if dk.scheme_id != pairing_scheme.SCHEME_ID:
+        return ahibe.decap(dk, header)
+    if header.scheme_id != dk.scheme_id:
+        raise ahibe.SchemeError("header and key schemes differ")
+    b, c1, c2 = (g1_from_bytes(header.fields[k]) for k in ("b", "c1", "c2"))
+    b0, b1, b2 = (g2_from_bytes(dk.key_material[k], check_subgroup=False) for k in ("b0", "b1", "b2"))
+    shared = final_exponentiation(miller_loop_points_oracle([(b, b0), (g1_neg(c1), b1), (g1_neg(c2), b2)]))
+    return pairing_scheme._kem_key(shared, header)
+
+
+def probe_key_oracle(mpp, identity, dk, rng) -> bool:
+    """Encapsulate to `identity` fresh, seal a random probe under the key and
+    check that the day key recovers it."""
+    header, key = ahibe.encap(mpp, identity, rng)
+    probe = rng(32)
+    sealed = seal(key, probe, _KEY_PROBE_CONTEXT, rng)
+    try:
+        recovered = open_sealed(sealed, _decap_oracle(dk, header), _KEY_PROBE_CONTEXT)
+    except (AuthFailure, LookupError, ValueError):
+        return False
+    return recovered == probe
 
 
 # version-1 snapshot codec

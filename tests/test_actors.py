@@ -18,7 +18,14 @@ from revoca.primitives import (
     index_from_ciphertext,
     signing_public_key,
 )
-from revoca.tables import RevocationDocument, TableParams, snapshot_to_bytes
+from revoca.tables import (
+    IntegrityError,
+    RevocationDocument,
+    RevocationEntry,
+    RevocationTableSnapshot,
+    TableParams,
+    snapshot_to_bytes,
+)
 
 
 def _rng(seed):
@@ -32,13 +39,13 @@ PARAMS = TableParams(d=64, c=64, sigma=4, min_anonymity=1)
 class World:
     """One issuer, publication store, and a wallet with `n` credentials."""
 
-    def __init__(self, tmp_path, n=3, day=100, rng_seed=5, level="test"):
+    def __init__(self, tmp_path, n=3, day=100, rng_seed=5, level="test", params=PARAMS):
         self.rng = _rng(rng_seed)
         self.mpp, self.msk = ahibe.setup(level, self.rng)
-        self.issuer = actors.issuer_init(PARAMS, day=day, mpp=self.mpp, issuer_id="iss", rng=self.rng)
+        self.issuer = actors.issuer_init(params, day=day, mpp=self.mpp, issuer_id="iss", rng=self.rng)
         self.store = service.PublicationStore(tmp_path / "public")
-        document = service.make_params_document(self.mpp, PARAMS, 0, 86400, "iss", self.issuer.signing_key)
-        self.store.write_params(document)
+        self.document = service.make_params_document(self.mpp, params, 0, 86400, "iss", self.issuer.signing_key)
+        self.store.write_params(self.document)
         self.trust = actors.TrustStore({"iss": self.issuer.public_key})
         self.wallet = actors.Wallet()
         self.holder_keys = {}
@@ -254,12 +261,12 @@ class TestHolder:
         credential = world.vcs[0]
         world.revoke(credential, status="conditioned")
         _, revocation = actors.issuer_export_day(world.issuer)
-        docs = actors.holder_audit(world.wallet, credential.vc_id, 100, revocation, world.mpp, world.rng)
+        docs = actors.holder_audit(world.wallet, credential.vc_id, 100, revocation, world.document, world.rng)
         assert [d.status for d in docs] == ["conditioned"]
         clean = world.vcs[1]
-        assert actors.holder_audit(world.wallet, clean.vc_id, 100, revocation, world.mpp, world.rng) == []
+        assert actors.holder_audit(world.wallet, clean.vc_id, 100, revocation, world.document, world.rng) == []
         with pytest.raises(ValueError):
-            actors.holder_audit(world.wallet, credential.vc_id, 99, revocation, world.mpp, world.rng)
+            actors.holder_audit(world.wallet, credential.vc_id, 99, revocation, world.document, world.rng)
 
     def test_wallet_round_trip(self, world, tmp_path):
         path = tmp_path / "wallet.store"
@@ -475,6 +482,33 @@ def test_day_key_without_material_fails_the_key_probe(tmp_path, level):
     presentation = actors.Presentation.from_bytes(canonical_encode(rec))
     with pytest.raises(actors.KeyProbeFailed):
         world.check(presentation, 100)
+
+
+@pytest.mark.parametrize("level", ["test", "standard"])
+def test_table_smaller_than_the_document_is_unavailable(tmp_path, level):
+    world = World(tmp_path, n=1, level=level, params=TableParams(d=4, c=64, sigma=4, min_anonymity=1))
+    small = RevocationTableSnapshot.empty(TableParams(d=1, c=64, sigma=4, min_anonymity=1), 100)
+    world.store.publish_revocation(small)
+    credential = world.vcs[0]
+    with pytest.raises(actors.SnapshotUnavailable):
+        world.check(world.present(credential, [100]), 100)
+    with pytest.raises(actors.SnapshotUnavailable):
+        actors.holder_audit(world.wallet, credential.vc_id, 100, small, world.document, world.rng)
+
+
+def test_bw2_header_that_is_not_g1_points_is_an_integrity_error(tmp_path):
+    world = World(tmp_path, n=1, level="standard")
+    credential = world.vcs[0]
+    world.revoke(credential)
+    _, table = actors.issuer_export_day(world.issuer)
+    ((index, entry),) = [(i, e) for i, bucket in enumerate(table.buckets) for e in bucket]
+    header = dataclasses.replace(entry.header, fields={name: b"\x11" * 48 for name in entry.header.fields})
+    # re-encoded, so the snapshot digest covers the altered header
+    world.store.publish_revocation(
+        RevocationTableSnapshot.from_entries(table.params, 100, [(index, RevocationEntry(header, entry.sealed_body))])
+    )
+    with pytest.raises(IntegrityError):
+        world.check(world.present(credential, [100]), 100)
 
 
 _JSON = st.recursive(

@@ -4,9 +4,11 @@ import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import probe_key_oracle
+from test_pairing import G2_COFACTOR, _random_g2_curve_point, _torsion_point
 
 from revoca import ahibe
-from revoca.pairing import PointDecodeError, gt_to_bytes
+from revoca.pairing import R, PointDecodeError, g2_mul, g2_to_bytes, gt_to_bytes
 from revoca.pairing.fields import FQ12_ONE, P
 from revoca.encoding import CanonicalDecodeError, canonical_decode, canonical_encode
 from revoca.primitives import AuthFailure, open_sealed, seal
@@ -186,16 +188,42 @@ class TestProbe:
         _, mpp, msk, rng = world
         hk = ahibe.extract(msk, "holder-p", rng)
         identity = ahibe.IdentityPath("holder-p", 40)
-        assert ahibe.probe_key(mpp, identity, ahibe.delegate(hk, 40, rng), rng) is True
-        assert ahibe.probe_key(mpp, identity, ahibe.delegate(hk, 41, rng), rng) is False
+        assert ahibe.probe_key(mpp, identity, ahibe.delegate(hk, 40, rng)) is True
+        assert ahibe.probe_key(mpp, identity, ahibe.delegate(hk, 41, rng)) is False
         other = ahibe.extract(msk, "holder-q", rng)
-        assert ahibe.probe_key(mpp, identity, ahibe.delegate(other, 40, rng), rng) is False
+        assert ahibe.probe_key(mpp, identity, ahibe.delegate(other, 40, rng)) is False
+
+    def test_probe_agrees_with_randomized_oracle(self, world):
+        level, mpp, msk, rng = world
+        hk = ahibe.extract(msk, "holder-o", rng)
+        dk = ahibe.delegate(hk, 50, rng)
+        keys = {
+            "honest": dk,
+            "other-day": ahibe.delegate(hk, 51, rng),
+            "other-holder": ahibe.delegate(ahibe.extract(msk, "holder-r", rng), 50, rng),
+            "no-material": dataclasses.replace(dk, key_material={}),
+        }
+        if level == "standard":
+            order13 = g2_to_bytes(_torsion_point(g2_mul, _random_g2_curve_point(random.Random(20)), G2_COFACTOR * R, 13))
+            for name in ("b0", "b1", "b2"):
+                keys[f"order-13-{name}"] = dataclasses.replace(dk, key_material={**dk.key_material, name: order13})
+        else:
+            keys["random-material"] = dataclasses.replace(dk, key_material={"day_key": rng(32)})
+        # the check is made for the verifier's identity; the other-day key names its own day
+        identity = ahibe.IdentityPath("holder-o", 50)
+        for name, key in keys.items():
+            verdict = ahibe.probe_key(mpp, identity, key)
+            assert verdict == probe_key_oracle(mpp, identity, key, rng) == (name == "honest"), name
 
     def test_probe_swallows_scheme_mismatch(self):
         mpp_t, msk_t = ahibe.setup("test", _rng(7))
         mpp_s, msk_s = ahibe.setup("standard", _rng(8))
         dk_standard = ahibe.delegate(ahibe.extract(msk_s, "h", _rng(9)), 1, _rng(10))
-        assert ahibe.probe_key(mpp_t, ahibe.IdentityPath("h", 1), dk_standard, _rng(11)) is False
+        dk_test = ahibe.delegate(ahibe.extract(msk_t, "h", _rng(9)), 1, _rng(10))
+        identity = ahibe.IdentityPath("h", 1)
+        for mpp, dk in ((mpp_t, dk_standard), (mpp_s, dk_test)):
+            assert ahibe.probe_key(mpp, identity, dk) is False
+            assert probe_key_oracle(mpp, identity, dk, _rng(11)) is False
 
 
 class TestAnonymity:

@@ -1,6 +1,8 @@
 """Structural rules for src/revoca: one atomic file write, one revocation-slot
 derivation, one ahibe record codec, one snapshot codec, linear rollover
-builds, and no module-level name that nothing in the program uses.
+builds, one Miller loop behind the pairing API, day-key points decoded with
+the subgroup check, a key check without encapsulation or AEAD, and no
+module-level name that nothing in the program uses.
 
 "Uses" means a load of the name, bare or as an attribute, anywhere in
 src/revoca or perfbench/ outside the name's own definition. Tests do not
@@ -134,6 +136,41 @@ def test_rollover_builds_without_insert():
     sites = _enclosing_calls(SRC / "actors" / "issuer.py", {"insert"})
     assert "_rebuild_revocation" not in sites
     assert "issuer_revoke" in sites  # a same-day revoke still appends with insert
+
+
+def _functions(path):
+    """(name, node) of every top-level function of a module."""
+    return [(node.name, node) for node in _tree(path).body if isinstance(node, ast.FunctionDef)]
+
+
+def test_miller_loop_and_final_exponentiation_only_behind_the_pairing_api():
+    # callers go through pairing/pairing_product, whose module-global lookups
+    # are also where the benchmark's per-layer spans hook in
+    sites = _calls("miller_loop_product") + _calls("final_exponentiation")
+    assert sites and all(site.startswith("src/revoca/pairing/pairing.py:") for site in sites), sites
+
+
+def test_unchecked_g2_decode_only_in_delegate():
+    # day-key points arrive in presentations; only the holder's own stored key skips the check
+    sites = [
+        f"{_module(path)}.{name}"
+        for path in sorted(SRC.rglob("*.py"))
+        for name, func in _functions(path)
+        for call in ast.walk(func)
+        if isinstance(call, ast.Call)
+        for kw in call.keywords
+        if kw.arg == "check_subgroup" and not (isinstance(kw.value, ast.Constant) and kw.value.value is True)
+    ]
+    assert sites and set(sites) == {"revoca.ahibe.pairing_scheme.delegate"}, sites
+
+
+def test_key_probe_runs_no_encapsulation_or_aead():
+    probes = [func for path in sorted((SRC / "ahibe").glob("*.py")) for name, func in _functions(path) if name == "probe_key"]
+    assert len(probes) == 3  # the package entry point and one per scheme
+    for func in probes:
+        called = {getattr(c.func, "id", None) or getattr(c.func, "attr", None) for c in ast.walk(func) if isinstance(c, ast.Call)}
+        assert not {n for n in called if n and "encap" in n and "decap" not in n}
+        assert not called & {"seal", "open_sealed"}
 
 
 def test_every_module_level_name_is_used():

@@ -9,7 +9,9 @@ from oracles import (
     g1_add_oracle,
     g1_in_subgroup_oracle,
     g2_add_oracle,
+    g2_in_subgroup_oracle,
     miller_loop_oracle,
+    miller_loop_points_oracle,
     pairing_product_oracle,
 )
 
@@ -31,6 +33,7 @@ from revoca.pairing import (
     g2_add,
     g2_from_bytes,
     g2_in_subgroup,
+    g2_lines,
     g2_mul,
     g2_neg,
     g2_to_bytes,
@@ -70,6 +73,12 @@ E_GEN_SHA256 = "4b4c07e7d5136bb2947bab11cf26a740cd2aeef4baf3e6f773bfadb5e505f8b4
 # |E(Fq)| = G1_COFACTOR * R and |E'(Fq2)| = G2_COFACTOR * R
 G1_COFACTOR = (BLS_X + 1) ** 2 // 3
 G2_COFACTOR = 0x5D543A95414E7F1091D50792876A202CD91DE4547085ABAA68A205B2E5A7DDFA628F1CB4D9E82EF21537E293A6691AE1616EC6E786F0C70CF1C38E31C7238E5
+GEN_LINES = g2_lines(G2_GEN)
+
+
+def _lined(pairs):
+    """(G1 point, G2 point) pairs as the pairing takes them: G2 points as lines."""
+    return [(p, g2_lines(q)) for p, q in pairs]
 
 
 def _random_fq12(r):
@@ -128,7 +137,7 @@ def test_fq2_sqrt_round_trip():
 
 
 def test_fq12_inverse_and_frobenius():
-    e = pairing(G1_GEN, G2_GEN)
+    e = pairing(G1_GEN, GEN_LINES)
     assert fq12_mul(e, fq12_inv(e)) == FQ12_ONE
     # phi^2 iterated six times is the identity
     f = e
@@ -151,7 +160,7 @@ def test_sparse_line_product_matches_dense():
 
 def test_cyclotomic_square_matches_generic_square_on_gt():
     r = random.Random(13)
-    e = pairing(G1_GEN, G2_GEN)
+    e = pairing(G1_GEN, GEN_LINES)
     for _ in range(5):
         g = gt_pow(e, r.randrange(1, R))
         assert fq12_cyclotomic_sqr(g) == fq12_sqr(g)
@@ -212,6 +221,17 @@ class TestGroups:
             assert g1_in_subgroup(pt) == g1_in_subgroup_oracle(pt)
         assert sum(map(g1_in_subgroup, points)) == 3
 
+    def test_g2_subgroup_check_matches_oracle(self):
+        # psi(Q) == [x]Q against the order multiplication [R]Q == O
+        r = random.Random(18)
+        points = [_random_g2_curve_point(r) for _ in range(8)]
+        points += [g2_mul(G2_GEN, r.randrange(1, R)) for _ in range(3)]
+        points.append(_torsion_point(g2_mul, _random_g2_curve_point(r), G2_COFACTOR * R, 13))
+        points.append(None)
+        for pt in points:
+            assert g2_in_subgroup(pt) == g2_in_subgroup_oracle(pt)
+        assert sum(map(g2_in_subgroup, points)) == 4
+
     def test_small_order_points_rejected(self):
         r = random.Random(15)
         order3 = (0, 2)
@@ -227,14 +247,14 @@ class TestGroups:
         assert not g2_in_subgroup(order13)
         with pytest.raises(PointDecodeError):
             g2_from_bytes(g2_to_bytes(order13))
-        # day-key points are decoded unchecked: a small-order one must fail
-        # the key probe, not raise
+        # a small-order day-key point fails the G2 check inside the key
+        # probe, which returns False rather than raise
         rb = random.Random(16).randbytes
         mpp, msk = ahibe.setup("standard", rb)
         dk = ahibe.delegate(ahibe.extract(msk, "holder-t", rb), 3, rb)
         for name in ("b0", "b1", "b2"):
             forged = dataclasses.replace(dk, key_material={**dk.key_material, name: g2_to_bytes(order13)})
-            assert not ahibe.probe_key(mpp, ahibe.IdentityPath("holder-t", 3), forged, rb)
+            assert not ahibe.probe_key(mpp, ahibe.IdentityPath("holder-t", 3), forged)
 
     def test_decode_rejects_garbage(self):
         with pytest.raises(PointDecodeError):
@@ -252,14 +272,14 @@ class TestGroups:
 
 class TestPairing:
     def test_known_answer(self):
-        e = pairing(G1_GEN, G2_GEN)
+        e = pairing(G1_GEN, GEN_LINES)
         assert hashlib.sha256(gt_to_bytes(e)).hexdigest() == E_GEN_SHA256
 
     def test_final_exponentiation_matches_oracle(self):
         r = random.Random(16)
         inputs = [_random_fq12(r) for _ in range(3)]
         pairs = [(g1_mul(G1_GEN, r.randrange(1, R)), g2_mul(G2_GEN, r.randrange(1, R)))]
-        inputs += [miller_loop_oracle(pairs), miller_loop_product(pairs)]
+        inputs += [miller_loop_oracle(pairs), miller_loop_product(_lined(pairs))]
         for f in inputs:
             assert final_exponentiation(f) == final_exponentiation_oracle(f)
 
@@ -276,42 +296,58 @@ class TestPairing:
             [(g1[0], _random_g2_curve_point(r)), (g1[1], g2[1])],
         ]
         for pairs in cases:
-            assert pairing_product(pairs) == pairing_product_oracle(pairs)
+            assert pairing_product(_lined(pairs)) == pairing_product_oracle(pairs)
+
+    def test_prepared_lines_match_raw_point_loop(self):
+        # Miller values, before the final exponentiation, are bit-identical
+        r = random.Random(19)
+        g1 = [g1_mul(G1_GEN, r.randrange(1, R)) for _ in range(3)]
+        g2 = [g2_mul(G2_GEN, r.randrange(1, R)) for _ in range(3)]
+        cases = [
+            list(zip(g1, g2)),
+            [(g1[0], g2[0]), (None, g2[1]), (g1_neg(g1[2]), None)],
+            [(None, None)],
+            [(g1[0], _random_g2_curve_point(r)), (g1[1], g2[1])],  # a twist point outside G2
+        ]
+        for pairs in cases:
+            assert miller_loop_product(_lined(pairs)) == miller_loop_points_oracle(pairs)
 
     def test_nondegenerate_and_order_r(self):
-        e = pairing(G1_GEN, G2_GEN)
+        e = pairing(G1_GEN, GEN_LINES)
         assert e != FQ12_ONE
         assert gt_pow(e, R) == FQ12_ONE
 
     def test_bilinearity(self):
-        e = pairing(G1_GEN, G2_GEN)
+        e = pairing(G1_GEN, GEN_LINES)
         for _ in range(3):
             a, b = rng.randrange(2, R), rng.randrange(2, R)
-            assert pairing(g1_mul(G1_GEN, a), G2_GEN) == gt_pow(e, a)
-            assert pairing(G1_GEN, g2_mul(G2_GEN, b)) == gt_pow(e, b)
-            assert pairing(g1_mul(G1_GEN, a), g2_mul(G2_GEN, b)) == gt_pow(e, a * b % R)
+            qb = g2_lines(g2_mul(G2_GEN, b))
+            assert pairing(g1_mul(G1_GEN, a), GEN_LINES) == gt_pow(e, a)
+            assert pairing(G1_GEN, qb) == gt_pow(e, b)
+            assert pairing(g1_mul(G1_GEN, a), qb) == gt_pow(e, a * b % R)
 
     def test_product_collapses(self):
         a = rng.randrange(2, R)
         pa = g1_mul(G1_GEN, a)
-        qb = g2_mul(G2_GEN, rng.randrange(2, R))
+        qb = g2_lines(g2_mul(G2_GEN, rng.randrange(2, R)))
         assert pairing_product([(pa, qb), (g1_neg(pa), qb)]) == FQ12_ONE
-        lhs = pairing_product([(pa, G2_GEN), (G1_GEN, qb)])
-        rhs = fq12_mul(pairing(pa, G2_GEN), pairing(G1_GEN, qb))
+        lhs = pairing_product([(pa, GEN_LINES), (G1_GEN, qb)])
+        rhs = fq12_mul(pairing(pa, GEN_LINES), pairing(G1_GEN, qb))
         assert lhs == rhs
 
     def test_infinity_contributes_nothing(self):
         pa = g1_mul(G1_GEN, 5)
-        assert pairing_product([(None, G2_GEN), (pa, G2_GEN)]) == pairing(pa, G2_GEN)
-        assert pairing(None, G2_GEN) == FQ12_ONE
+        assert pairing_product([(None, GEN_LINES), (pa, GEN_LINES)]) == pairing(pa, GEN_LINES)
+        assert pairing(None, GEN_LINES) == FQ12_ONE
+        assert g2_lines(None) is None and pairing(pa, None) == FQ12_ONE
 
     def test_gt_serialization_round_trip(self):
-        e = pairing(g1_mul(G1_GEN, 3), g2_mul(G2_GEN, 5))
+        e = pairing(g1_mul(G1_GEN, 3), g2_lines(g2_mul(G2_GEN, 5)))
         assert gt_from_bytes(gt_to_bytes(e)) == e
         with pytest.raises(ValueError):
             gt_from_bytes(b"\x00" * 100)
 
     def test_final_exponentiation_lands_in_order_r_subgroup(self):
-        f = pairing(g1_mul(G1_GEN, 7), g2_mul(G2_GEN, 11))
+        f = pairing(g1_mul(G1_GEN, 7), g2_lines(g2_mul(G2_GEN, 11)))
         assert gt_pow(f, R) == FQ12_ONE
         assert final_exponentiation(FQ12_ONE) == FQ12_ONE
