@@ -6,6 +6,7 @@ from .curves import (  # noqa: F401
     G2_GEN,
     PointDecodeError,
     g1_add,
+    g1_comb,
     g1_from_bytes,
     g1_in_subgroup,
     g1_mul,
@@ -21,6 +22,7 @@ from .curves import (  # noqa: F401
 from .pairing import (  # noqa: F401
     final_exponentiation,
     g2_lines,
+    gt_comb,
     gt_from_bytes,
     gt_pow,
     gt_to_bytes,

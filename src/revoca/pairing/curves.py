@@ -2,18 +2,22 @@
 
 G1 lives on E/Fq: y^2 = x^3 + 4; G2 on the sextic twist E'/Fq2:
 y^2 = x^3 + 4(1+u). Affine points are (x, y) tuples, None is the point at
-infinity. Scalar multiplication runs in Jacobian coordinates. Compressed
-encodings follow the common 48/96-byte convention (flag bits in the top of
-the x coordinate, sign = lexicographically larger y).
+infinity. Scalar multiplication runs in Jacobian coordinates, on a point
+or on a fixed-base table (`g1_comb`). Compressed encodings follow the common
+48/96-byte convention (flag bits in the top of the x coordinate, sign =
+lexicographically larger y).
 """
 
 from __future__ import annotations
 
 from .fields import (
     BLS_X,
+    COMB_ROWS,
     P,
     FQ2_ZERO,
     XI,
+    Comb,
+    comb_digits,
     fq2_add,
     fq2_conj,
     fq2_inv,
@@ -76,9 +80,20 @@ def g1_add(p1, p2):
 def g1_mul(pt, k: int):
     """Scalar multiplication in Jacobian coordinates.
 
-    The scalar is deliberately not reduced mod the group order: the subgroup
-    membership check multiplies by the order itself and must see it.
+    On a point the scalar is deliberately not reduced mod the group order:
+    the subgroup membership check multiplies by the order itself and must see
+    it. On a `Comb` (`g1_comb`), whose base lies in G1, the scalar is reduced
+    mod R and the product is one table addition per nonzero digit.
     """
+    if type(pt) is Comb:  # fixed bases ride on this name, which perfbench times as pairing.g1_mul
+        acc = None
+        for row, d in zip(pt, comb_digits(k)):
+            if d:
+                x, y = row[abs(d) - 1]
+                y = y if d > 0 else P - y
+                # the sum may pass through infinity; the next digit restarts it
+                acc = (x, y, 1) if acc is None else _g1_jac_add(acc, x, y)
+        return _g1_jac_to_affine(acc)
     if k < 0:
         return g1_neg(g1_mul(pt, -k))
     if pt is None or k == 0:
@@ -91,6 +106,35 @@ def g1_mul(pt, k: int):
         if bit == "1":
             acc = (X, Y, Z) if acc is None else _g1_jac_add(acc, X, Y)
     return _g1_jac_to_affine(acc)
+
+
+def g1_comb(pt) -> Comb:
+    """The fixed-base table of a G1 point other than infinity: per row the
+    even multiples of the row's base by doubling, the odd ones by a mixed
+    addition, and 16 times the base, the next row's, by one more doubling;
+    then every entry to affine with one inversion."""
+    entries = []
+    base = (pt[0], pt[1], 1)
+    for _ in range(COMB_ROWS):
+        x, y = _g1_jac_to_affine(base)
+        row = [(x, y, 1)]
+        for j in range(2, 9):
+            row.append(_g1_jac_double(row[j // 2 - 1]) if j % 2 == 0 else _g1_jac_add(row[-1], x, y))
+        entries += row
+        base = _g1_jac_double(row[-1])
+    # Montgomery's trick: one inversion for all the Z coordinates
+    prefix = [1]
+    for _, _, Z in entries:
+        prefix.append(prefix[-1] * Z % P)
+    inv = fq_inv(prefix[-1])
+    affine = [None] * len(entries)
+    for i in range(len(entries) - 1, -1, -1):
+        X, Y, Z = entries[i]
+        zi = inv * prefix[i] % P
+        inv = inv * Z % P
+        zi2 = zi * zi % P
+        affine[i] = (X * zi2 % P, Y * zi2 % P * zi % P)
+    return Comb(tuple(affine[i : i + 8]) for i in range(0, len(affine), 8))
 
 
 def _g1_jac_double(pt):

@@ -11,7 +11,14 @@ the pairing lives on: `fq12_mul_014`, the product with a Miller-loop line
 square for elements of the cyclotomic subgroup (Fq12 read as a cubic
 extension of Fq4 = Fq2[w^3]); and the Frobenius maps `fq12_frob` and
 `fq12_frob2`. `fq12_pow_cyclotomic` is the one exponentiation routine of the
-target group: the final exponentiation's hard part and `gt_pow` both use it.
+target group for a varying base: the final exponentiation's hard part and
+`gt_pow` on a plain element both use it.
+
+A fixed base B is instead raised through a `Comb`, a table whose row i holds
+j*16^i*B for j = 1..8 (written additively), and `comb_digits` recodes the
+scalar mod R into one signed digit per row (Brickell-Gordon-McCurley-Wilson,
+EUROCRYPT 1992): a power is then one table lookup per nonzero digit, with no
+doubling or squaring. `curves.g1_comb` and `pairing.gt_comb` build the tables.
 """
 
 from __future__ import annotations
@@ -32,6 +39,28 @@ FQ6_ONE = (FQ2_ONE, FQ2_ZERO, FQ2_ZERO)
 FQ12_ONE = (FQ6_ONE, FQ6_ZERO)
 
 XI = (1, 1)  # the Fq6 non-residue 1 + u
+
+COMB_ROWS = 64  # signed base-16 digits of a scalar mod R
+# the 64-digit values with digits in [-8, 8) are exactly the integers from
+# -8*(16^64-1)/15 to 7*(16^64-1)/15, and every residue mod R lies in that range
+assert R <= 7 * (16**COMB_ROWS - 1) // 15
+
+
+class Comb(tuple):
+    """A fixed-base table: row i holds j*16^i*B for j = 1..8, so row 0 starts
+    with the base B itself."""
+
+
+def comb_digits(k: int) -> list[int]:
+    """k mod R as signed base-16 digits in [-8, 8), least significant first,
+    at most COMB_ROWS of them (none for 0)."""
+    k %= R
+    digits = []
+    while k:
+        d = ((k + 8) & 15) - 8
+        digits.append(d)
+        k = (k - d) >> 4
+    return digits
 
 
 def fq_inv(a: int) -> int:

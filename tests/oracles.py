@@ -9,7 +9,9 @@ arithmetic: an affine Miller loop with one field inversion per step, the
 Jacobian Miller loop that walks the G2 points themselves rather than their
 prepared lines, a final exponentiation by the generic hard-part exponent
 with plain Fq12 squaring, the G1 and G2 subgroup checks by multiplication
-with the group order, and the affine chord-and-tangent point additions. The
+with the group order, the affine chord-and-tangent point additions, and the
+variable-base encapsulation, which multiplies the identity points F1 and F2
+by double-and-add and raises Omega by cyclotomic square-and-multiply. The
 key-check oracle is the package's earlier randomized probe: encapsulate
 fresh, seal a random probe and open it with the day key, whose bw2 points
 are decoded unchecked. The table oracles are the package's earlier table
@@ -31,7 +33,17 @@ from revoca import ahibe
 from revoca.actors.issuer import _build_entry
 from revoca.ahibe import pairing_scheme
 from revoca.encoding import CanonicalDecodeError, b64u_decode, canonical_decode, canonical_encode
-from revoca.pairing import final_exponentiation, g1_from_bytes, g1_neg, g2_from_bytes
+from revoca.pairing import (
+    G1_GEN,
+    final_exponentiation,
+    g1_add,
+    g1_from_bytes,
+    g1_neg,
+    g1_to_bytes,
+    g2_from_bytes,
+    gt_from_bytes,
+    gt_pow,
+)
 from revoca.pairing.curves import g1_is_on_curve, g1_mul, g2_is_on_curve, g2_mul
 from revoca.pairing.fields import (
     BLS_X,
@@ -291,6 +303,27 @@ def g2_add_oracle(p1, p2):
         lam = fq2_mul(fq2_sub(y2, y1), fq2_inv(fq2_sub(x2, x1)))
     x3 = fq2_sub(fq2_sub(fq2_sqr(lam), x1), x2)
     return (x3, fq2_sub(fq2_mul(lam, fq2_sub(x1, x3)), y1))
+
+
+# variable-base encapsulation
+
+
+def encap_with_scalar_oracle(mpp, identity, s: int):
+    """bw2 encapsulation to `identity` with scalar s: (s*g, s*F1, s*F2) and
+    the key of Omega^s, every power taken of the raw decoded element."""
+    u10, u11, u20, u21 = (g1_from_bytes(mpp.fields[k]) for k in ("u10", "u11", "u20", "u21"))
+    f1 = g1_add(u10, g1_mul(u11, pairing_scheme._root_exponent(identity.root)))
+    f2 = g1_add(u20, g1_mul(u21, pairing_scheme._day_exponent(identity.day)))
+    header = ahibe.EncapHeader(
+        scheme_id=pairing_scheme.SCHEME_ID,
+        fields={
+            "b": g1_to_bytes(g1_mul(G1_GEN, s)),
+            "c1": g1_to_bytes(g1_mul(f1, s)),
+            "c2": g1_to_bytes(g1_mul(f2, s)),
+        },
+    )
+    shared = gt_pow(gt_from_bytes(mpp.fields["omega"]), s)
+    return header, pairing_scheme._kem_key(shared, header)
 
 
 # randomized key probe

@@ -4,10 +4,11 @@ import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import probe_key_oracle
+from oracles import encap_with_scalar_oracle, probe_key_oracle
 from test_pairing import G2_COFACTOR, _random_g2_curve_point, _torsion_point
 
 from revoca import ahibe
+from revoca.ahibe import pairing_scheme
 from revoca.pairing import R, PointDecodeError, g2_mul, g2_to_bytes, gt_to_bytes
 from revoca.pairing.fields import FQ12_ONE, P
 from revoca.encoding import CanonicalDecodeError, canonical_decode, canonical_encode
@@ -80,6 +81,19 @@ class TestSetup:
             with pytest.raises(PointDecodeError):
                 ahibe.det_encap(forged, ahibe.IdentityPath("h", 1), b"\x01" * 32)
 
+    def test_public_point_at_infinity_rejected(self):
+        # u11 = O makes F1 independent of the root, u21 = O F2 of the day
+        rng = _rng(7)
+        mpp, msk = ahibe.setup("standard", rng)
+        identity = ahibe.IdentityPath("h", 1)
+        dk = ahibe.delegate(ahibe.extract(msk, "h", rng), 1, rng)
+        assert ahibe.probe_key(mpp, identity, dk)
+        for name in ("u10", "u11", "u20", "u21"):
+            forged = dataclasses.replace(mpp, fields={**mpp.fields, name: b"\xc0" + bytes(47)})
+            with pytest.raises(PointDecodeError):
+                ahibe.det_encap(forged, identity, b"\x01" * 32)
+            assert not ahibe.probe_key(forged, identity, dk)
+
 
 class TestKemCorrectness:
     def test_decap_recovers_encapsulated_key(self, world):
@@ -104,6 +118,23 @@ class TestKemCorrectness:
         assert key.hex() == "f9543afae8255c9836caa524ff4a6c0c52f0f836f6620b7f3d6ceaee537926f4"
         dk = ahibe.delegate(ahibe.extract(msk, "holder-kat", rng), 3, rng)
         assert ahibe.decap(dk, header) == key
+
+    def test_standard_encap_matches_variable_base_oracle(self):
+        # the fixed-base tables give the bytes of s*F1, s*F2 and Omega^s
+        mpp, _ = ahibe.setup("standard", _rng(8))
+        r = random.Random(9)
+        for _ in range(3):
+            identity = ahibe.IdentityPath(f"holder-{r.randrange(2**32)}", r.randrange(2**20))
+            binding = r.randbytes(32)
+            s = 1 + int.from_bytes(ahibe.det_randomness(identity, binding), "big") % (R - 1)
+            header, key = ahibe.det_encap(mpp, identity, binding)
+            oracle_header, oracle_key = encap_with_scalar_oracle(mpp, identity, s)
+            assert header.canonical_bytes() == oracle_header.canonical_bytes() and key == oracle_key
+            seed = r.randbytes(8)
+            header, key = ahibe.encap(mpp, identity, _rng(seed))
+            s = pairing_scheme._rand_scalar(_rng(seed))
+            oracle_header, oracle_key = encap_with_scalar_oracle(mpp, identity, s)
+            assert header.canonical_bytes() == oracle_header.canonical_bytes() and key == oracle_key
 
     def test_randomized_encap_gives_fresh_headers(self, world):
         _, mpp, msk, rng = world

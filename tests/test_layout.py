@@ -1,7 +1,8 @@
 """Structural rules for src/revoca: one atomic file write, one revocation-slot
 derivation, one ahibe record codec, one snapshot codec, linear rollover
 builds, one Miller loop behind the pairing API, day-key points decoded with
-the subgroup check, a key check without encapsulation or AEAD, and no
+the subgroup check, a key check without encapsulation or AEAD, fixed-base
+tables built only from checked public params and in a bounded cache, and no
 module-level name that nothing in the program uses.
 
 "Uses" means a load of the name, bare or as an attribute, anywhere in
@@ -171,6 +172,34 @@ def test_key_probe_runs_no_encapsulation_or_aead():
         called = {getattr(c.func, "id", None) or getattr(c.func, "attr", None) for c in ast.walk(func) if isinstance(c, ast.Call)}
         assert not {n for n in called if n and "encap" in n and "decap" not in n}
         assert not called & {"seal", "open_sealed"}
+
+
+def test_fixed_base_tables_only_from_checked_public_params():
+    # a comb reduces its scalar mod R, which is sound only for a base in G1
+    # (or GT): _decode_public builds the tables after the subgroup and GT checks
+    sites = [
+        f"{_module(path)}.{qualified}"
+        for path in sorted(SRC.rglob("*.py"))
+        for qualified in _enclosing_calls(path, {"g1_comb", "gt_comb"})
+    ]
+    assert sites and set(sites) == {"revoca.ahibe.pairing_scheme._decode_public"}, sites
+    constructed = _calls("Comb")
+    assert constructed and all(
+        site.startswith(("src/revoca/pairing/curves.py:", "src/revoca/pairing/pairing.py:")) for site in constructed
+    ), constructed
+
+
+def test_public_tables_cache_is_bounded():
+    # about 1.3 MiB of tables per params: they must not pile up across params
+    (func,) = [f for name, f in _functions(SRC / "ahibe" / "pairing_scheme.py") if name == "_decode_public"]
+    bounds = [
+        kw.value.value
+        for dec in func.decorator_list
+        if isinstance(dec, ast.Call) and getattr(dec.func, "attr", None) == "lru_cache"
+        for kw in dec.keywords
+        if kw.arg == "maxsize" and isinstance(kw.value, ast.Constant)
+    ]
+    assert len(bounds) == 1 and isinstance(bounds[0], int) and 0 < bounds[0] <= 8, bounds
 
 
 def test_every_module_level_name_is_used():

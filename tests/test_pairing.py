@@ -3,6 +3,7 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from oracles import (
     final_exponentiation_oracle,
@@ -25,6 +26,7 @@ from revoca.pairing import (
     PointDecodeError,
     final_exponentiation,
     g1_add,
+    g1_comb,
     g1_from_bytes,
     g1_in_subgroup,
     g1_mul,
@@ -37,6 +39,7 @@ from revoca.pairing import (
     g2_mul,
     g2_neg,
     g2_to_bytes,
+    gt_comb,
     gt_from_bytes,
     gt_pow,
     gt_to_bytes,
@@ -45,9 +48,11 @@ from revoca.pairing import (
 )
 from revoca.pairing.curves import g1_is_on_curve
 from revoca.pairing.fields import (
+    COMB_ROWS,
     FQ12_ONE,
     FQ2_ONE,
     FQ2_ZERO,
+    comb_digits,
     fq_sqrt,
     fq2_add,
     fq2_inv,
@@ -268,6 +273,53 @@ class TestGroups:
         raw[-1] ^= 1
         with pytest.raises(PointDecodeError):
             g1_from_bytes(bytes(raw))
+
+
+# the edge scalars of the comb path: zero, small, the top digit, and the
+# multiples and neighbours of R it reduces away
+EDGE_SCALARS = (0, 1, 8, -1, R - 1, R, R + 1, 2**255 - 1, -(2**200 + 12345))
+
+
+@given(st.integers(min_value=-(2**300), max_value=2**300))
+def test_comb_digits_recode_the_scalar_mod_r(k):
+    digits = comb_digits(k)
+    assert sum(d * 16**i for i, d in enumerate(digits)) % R == k % R
+    assert all(-8 <= d < 8 for d in digits)
+    assert len(digits) <= COMB_ROWS
+
+
+class TestFixedBase:
+    def test_g1_comb_matches_double_and_add(self):
+        r = random.Random(19)
+        base = g1_mul(G1_GEN, r.randrange(1, R))
+        comb = g1_comb(base)
+        assert comb[0][0] == base
+        for k in EDGE_SCALARS + tuple(r.randrange(-(2**256), 2**256) for _ in range(6)):
+            assert g1_mul(comb, k) == g1_mul(base, k % R)
+
+    def test_g1_comb_sum_through_infinity(self):
+        # on a point of order 11 the running sum of table entries returns to
+        # infinity whenever a prefix of the digits is 0 mod 11; the comb path
+        # must restart there (and double where an entry equals the sum)
+        r = random.Random(20)
+        order11 = _torsion_point(g1_mul, _random_g1_curve_point(r), G1_COFACTOR * R, 11)
+        comb = g1_comb(order11)
+        ks = [r.randrange(R) for _ in range(8)]
+        passes = 0
+        for k in ks:
+            digits = comb_digits(k)
+            prefixes = [sum(d * 16**i for i, d in enumerate(digits[:j])) for j in range(1, len(digits))]
+            passes += any(s != 0 and s % 11 == 0 for s in prefixes)
+            assert g1_mul(comb, k) == g1_mul(order11, k)
+        assert passes > 0
+
+    def test_gt_comb_matches_square_and_multiply(self):
+        r = random.Random(21)
+        f = gt_pow(pairing(G1_GEN, GEN_LINES), r.randrange(1, R))
+        comb = gt_comb(f)
+        assert comb[0][0] == f
+        for e in EDGE_SCALARS + tuple(r.randrange(-(2**256), 2**256) for _ in range(3)):
+            assert gt_pow(comb, e) == gt_pow(f, e)
 
 
 class TestPairing:
