@@ -71,7 +71,6 @@ from ..pairing import (
     gt_from_bytes,
     gt_pow,
     gt_to_bytes,
-    pairing,
     pairing_product,
 )
 from ..pairing.fields import FQ12_ONE, R, fq12_frob2, fq12_mul, fq12_pow_cyclotomic
@@ -86,14 +85,10 @@ _ROOT_ID_CTX = b"revoca/bw2/root-id/v1"
 _DAY_ID_CTX = b"revoca/bw2/day-id/v1"
 _KEM_CTX = b"revoca/bw2/kem/v1"
 
-_E_GG = None  # e(g, ghat), computed once per process
-
-
+@functools.lru_cache(maxsize=1)
 def _base_pairing():
-    global _E_GG
-    if _E_GG is None:
-        _E_GG = pairing(G1_GEN, g2_lines(G2_GEN))
-    return _E_GG
+    """e(g, ghat), computed once per process."""
+    return pairing_product([(G1_GEN, g2_lines(G2_GEN))])
 
 
 def _rand_scalar(rng: RandomBytes) -> int:

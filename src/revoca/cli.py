@@ -199,16 +199,13 @@ def cmd_issuer_revoke(args) -> int:
 
 def cmd_issuer_rollover(args) -> int:
     state_dir, state = _load_issuer(args)
-    if args.to_day is not None:
-        # "+k" advances relative to the current day; a bare integer is absolute
-        if args.to_day.startswith("+"):
-            target = state.current_day + int(args.to_day[1:])
-        else:
-            target = int(args.to_day)
-    elif args.days is not None:
-        target = state.current_day + args.days
+    if args.to_day is None:
+        raise CliError("give --to-day")
+    # "+k" advances relative to the current day; a bare integer is absolute
+    if args.to_day.startswith("+"):
+        target = state.current_day + int(args.to_day[1:])
     else:
-        raise CliError("give --to-day or --days")
+        target = int(args.to_day)
     store = service.PublicationStore(_public_dir(state_dir))
     actors.issuer_rollover(state, target, store=store)
     store.prune(state.current_day, args.retention)
@@ -376,7 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = issuer.add_parser("rollover", help="advance the day, re-encrypting active revocations")
     p.add_argument("--state")
     p.add_argument("--to-day", help="target day index; +K advances K days")
-    p.add_argument("--days", type=int, help="advance by this many days")
     p.add_argument("--retention", type=int, default=30)
     p.set_defaults(func=cmd_issuer_rollover)
     p = issuer.add_parser("serve", help="serve the publication directory over HTTP")

@@ -26,6 +26,5 @@ from .pairing import (  # noqa: F401
     gt_from_bytes,
     gt_pow,
     gt_to_bytes,
-    pairing,
     pairing_product,
 )

@@ -161,11 +161,6 @@ def final_exponentiation(f) -> tuple:
     return fq12_mul(c, f)
 
 
-def pairing(p, lines) -> tuple:
-    """e(P, Q) for P in G1 (affine) and the lines `g2_lines(Q)` of Q in G2."""
-    return final_exponentiation(miller_loop_product([(p, lines)]))
-
-
 def pairing_product(pairs) -> tuple:
     """prod_i e(P_i, Q_i) over (P_i, `g2_lines(Q_i)`) pairs, with a shared
     loop and one final exponentiation."""

@@ -12,10 +12,18 @@ The in-process transport and the network transport share one path resolver,
 so both return identical bytes for identical requests. Not-found responses
 carry an empty body and a machine-readable reason in the metadata map (the
 X-Reason header over HTTP).
+
+The server caches only encoded check segments, in one process-wide LRU memo
+of SEGMENT_MEMO_SIZE entries keyed by the check file's path, its version
+(mtime and size, from the stat each request makes) and the segment index.
+Nothing is invalidated: a republish changes the size even within one mtime
+tick (a day's check table changes only by added digests), a pruned file
+fails the stat before any lookup, and superseded entries age out.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import http.client
 import re
@@ -37,6 +45,7 @@ from .tables import (
     RevocationTableSnapshot,
     TableParams,
     check_snapshot_filename,
+    read_check_sigma,
     read_snapshot,
     revocation_snapshot_filename,
     snapshot_from_bytes,
@@ -50,6 +59,8 @@ PARAMS_FILENAME = "params.doc"
 # a check with a past-day authorization fetches (perfbench/workloads.py
 # checks [day - 1, day])
 TABLE_CACHE_DAYS = 2
+
+SEGMENT_MEMO_SIZE = 64  # every segment of four days at the default sigma = 16
 
 ROUTES = (
     "/v1/params",
@@ -147,10 +158,6 @@ class PublicationStore:
     def __init__(self, root):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        # (day, segment) -> (file stamp, segment bytes): a republished day
-        # replaces its entries, and a pruned day loses them, even where
-        # publish_check and prune never run (the server)
-        self._segment_cache = {}
 
     def params_path(self) -> Path:
         return self.root / PARAMS_FILENAME
@@ -169,7 +176,6 @@ class PublicationStore:
 
     def publish_check(self, snapshot: CheckTableSnapshot) -> None:
         write_snapshot(snapshot, self.check_path(snapshot.day))
-        self._segment_cache = {k: v for k, v in self._segment_cache.items() if k[0] != snapshot.day}
 
     def publish_revocation(self, snapshot: RevocationTableSnapshot) -> None:
         write_snapshot(snapshot, self.revocation_path(snapshot.day))
@@ -183,20 +189,10 @@ class PublicationStore:
     def segment_bytes(self, day: int, segment_index: int) -> bytes:
         path = self.check_path(day)
         try:
-            stamp = path.stat().st_mtime_ns
-            cached_stamp, cached = self._segment_cache.get((day, segment_index), (None, None))
-            if cached_stamp == stamp:
-                return cached
-            self._drop_pruned_segments()
-            snapshot = read_snapshot(path)
+            stat = path.stat()
+            return _segment_bytes(path, (stat.st_mtime_ns, stat.st_size), segment_index)
         except FileNotFoundError:  # also when a prune removes the file mid-request
-            self._drop_pruned_segments()
             raise ResourceNotFound("unknown-day") from None
-        if segment_index < 0 or segment_index >= snapshot.params.sigma:
-            raise ResourceNotFound("unknown-segment")
-        cached = snapshot_to_bytes(snapshot.segment(segment_index))
-        self._segment_cache[(day, segment_index)] = (stamp, cached)
-        return cached
 
     def archived_days(self) -> list:
         days = []
@@ -212,17 +208,15 @@ class PublicationStore:
             if day < current_day - retention_days:
                 self.check_path(day).unlink(missing_ok=True)
                 self.revocation_path(day).unlink(missing_ok=True)
-        self._drop_pruned_segments()
 
-    def _drop_pruned_segments(self) -> None:
-        """Forget the cached segments of every day whose check file is gone.
-        Server threads share the cache without a lock: a race costs at most a
-        re-parse, or a stale entry until the next miss."""
-        keys = list(self._segment_cache)  # a copy: other threads may add entries meanwhile
-        gone = {day for day in {key[0] for key in keys} if not self.check_path(day).exists()}
-        for key in keys:
-            if key[0] in gone:
-                self._segment_cache.pop(key, None)
+
+@functools.lru_cache(maxsize=SEGMENT_MEMO_SIZE)
+def _segment_bytes(path: Path, version: tuple, segment_index: int) -> bytes:
+    """One encoded segment of a check file. `version` only keys the memo. An
+    index outside the file's sigma is refused before the file is parsed."""
+    if not 0 <= segment_index < read_check_sigma(path):
+        raise ResourceNotFound("unknown-segment")
+    return snapshot_to_bytes(read_snapshot(path).segment(segment_index))
 
 
 def _read(path: Path, reason: str) -> bytes:

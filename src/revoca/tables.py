@@ -401,18 +401,28 @@ def snapshot_to_bytes(snapshot) -> bytes:
     return _MAGIC + hashlib.sha256(covered).digest() + covered
 
 
-def snapshot_from_bytes(data: bytes):
-    """Inverse of `snapshot_to_bytes`. The digest is checked over the bytes
-    as read; any malformed input raises CorruptSnapshotError."""
+def _envelope(data: bytes) -> tuple:
+    """(snapshot class, day, fixed fields, body offset) from the envelope at
+    the head of `data`, without the digest check."""
     if data[: len(_MAGIC)] != _MAGIC:
         raise CorruptSnapshotError(f"not a version-{SNAPSHOT_VERSION} snapshot")
-    if hashlib.sha256(memoryview(data)[_COVERED:]).digest() != data[len(_MAGIC) : _COVERED]:
-        raise CorruptSnapshotError("content digest mismatch")
     try:
         cls, nfields = _KINDS[data[_COVERED]]
         head = struct.Struct(f">BQ{nfields}I")
         _, day, *fields = head.unpack_from(data, _COVERED)
-        return cls.from_record(SnapshotRecord(day, tuple(fields), data[_COVERED + head.size :]))
+    except (LookupError, struct.error) as exc:
+        raise CorruptSnapshotError(f"malformed snapshot: {exc}") from exc
+    return cls, day, tuple(fields), _COVERED + head.size
+
+
+def snapshot_from_bytes(data: bytes):
+    """Inverse of `snapshot_to_bytes`. The digest is checked over the bytes
+    as read; any malformed input raises CorruptSnapshotError."""
+    cls, day, fields, start = _envelope(data)
+    if hashlib.sha256(memoryview(data)[_COVERED:]).digest() != data[len(_MAGIC) : _COVERED]:
+        raise CorruptSnapshotError("content digest mismatch")
+    try:
+        return cls.from_record(SnapshotRecord(day, fields, data[start:]))
     except (LookupError, ValueError, struct.error) as exc:  # CorruptSnapshotError is a ValueError
         raise CorruptSnapshotError(f"malformed snapshot: {exc}") from exc
 
@@ -424,6 +434,16 @@ def write_snapshot(snapshot, path) -> None:
 def read_snapshot(path):
     with open(path, "rb") as fh:
         return snapshot_from_bytes(fh.read())
+
+
+def read_check_sigma(path) -> int:
+    """The segment count sigma of a check-table file, from its envelope
+    alone: neither the body nor the digest is read."""
+    with open(path, "rb") as fh:
+        cls, _, fields, _ = _envelope(fh.read(_COVERED + struct.calcsize(">BQ5I")))
+    if cls is not CheckTableSnapshot:
+        raise CorruptSnapshotError("not a check table")
+    return fields[2]  # d, c, sigma, min_anonymity, digest count
 
 
 def check_snapshot_filename(day: int) -> str:

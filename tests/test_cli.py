@@ -106,7 +106,7 @@ def test_revoke_then_check_and_audit(setup_world, capsys):
 
 
 def test_rollover_writes_snapshot_pairs(setup_world, capsys):
-    code, _, _ = run_cli("issuer", "rollover", "--state", str(setup_world["state"]), "--days", "2", capsys=capsys)
+    code, _, _ = run_cli("issuer", "rollover", "--state", str(setup_world["state"]), "--to-day", "+2", capsys=capsys)
     assert code == 0
     public = setup_world["state"] / "public"
     for day in (50, 51, 52):
@@ -120,6 +120,15 @@ def test_rollover_relative_day_syntax(setup_world, capsys):
     assert json.loads(out)["current_day"] == 51
     public = setup_world["state"] / "public"
     assert (public / "check-51.snap").exists() and (public / "revocation-51.snap").exists()
+
+
+def test_rollover_needs_to_day(setup_world, capsys):
+    code, _, err = run_cli("issuer", "rollover", "--state", str(setup_world["state"]), capsys=capsys)
+    assert code == 3
+    assert json.loads(err.strip().splitlines()[-1])["message"] == "give --to-day"
+    with pytest.raises(SystemExit) as excinfo:  # --to-day +K is the one way to advance K days
+        main(["issuer", "rollover", "--state", str(setup_world["state"]), "--days", "1"])
+    assert excinfo.value.code == 2
 
 
 def test_tampered_presentation_is_bad_pop_with_exit_code(setup_world, capsys):
@@ -226,6 +235,6 @@ def test_serve_and_check_over_http(setup_world, capsys):
 
 def test_state_dir_env_fallback(setup_world, capsys, monkeypatch):
     monkeypatch.setenv("REVOCA_STATE_DIR", str(setup_world["state"]))
-    code, out, _ = run_cli("issuer", "rollover", "--days", "1", capsys=capsys)
+    code, out, _ = run_cli("issuer", "rollover", "--to-day", "+1", capsys=capsys)
     assert code == 0
     assert json.loads(out)["current_day"] == 51

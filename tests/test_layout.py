@@ -2,7 +2,8 @@
 derivation, one ahibe record codec, one snapshot codec, linear rollover
 builds, one Miller loop behind the pairing API, day-key points decoded with
 the subgroup check, a key check without encapsulation or AEAD, fixed-base
-tables built only from checked public params and in a bounded cache, and no
+tables built only from checked public params, every functools cache bounded,
+no `global` statement, a publication store that holds only its root, and no
 module-level name that nothing in the program uses.
 
 "Uses" means a load of the name, bare or as an attribute, anywhere in
@@ -145,7 +146,7 @@ def _functions(path):
 
 
 def test_miller_loop_and_final_exponentiation_only_behind_the_pairing_api():
-    # callers go through pairing/pairing_product, whose module-global lookups
+    # callers go through pairing_product, whose module-global lookups
     # are also where the benchmark's per-layer spans hook in
     sites = _calls("miller_loop_product") + _calls("final_exponentiation")
     assert sites and all(site.startswith("src/revoca/pairing/pairing.py:") for site in sites), sites
@@ -200,6 +201,61 @@ def test_public_tables_cache_is_bounded():
         if kw.arg == "maxsize" and isinstance(kw.value, ast.Constant)
     ]
     assert len(bounds) == 1 and isinstance(bounds[0], int) and 0 < bounds[0] <= 8, bounds
+
+
+def test_every_functools_cache_is_bounded():
+    # a functools cache lives as long as the process: each one states a
+    # positive bound, as a literal or a module-level int constant
+    found, unbounded = 0, []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = _tree(path)
+        constants = {
+            name: node.value.value
+            for name, node in _definitions(tree)
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+        }
+        calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        for node in ast.walk(tree):
+            if not (
+                isinstance(node, ast.Attribute) and node.attr == "lru_cache"
+                or isinstance(node, ast.Attribute) and node.attr == "cache" and getattr(node.value, "id", None) == "functools"
+                or isinstance(node, ast.Name) and node.id == "lru_cache"
+            ):
+                continue
+            found += 1
+            call = calls.get(id(node))
+            bounds = [
+                constants.get(kw.value.id) if isinstance(kw.value, ast.Name) else getattr(kw.value, "value", None)
+                for kw in (call.keywords if call else [])
+                if kw.arg == "maxsize"
+            ]
+            if not (len(bounds) == 1 and type(bounds[0]) is int and bounds[0] > 0):
+                unbounded.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert found and unbounded == [], unbounded
+
+
+def test_publication_store_holds_only_its_root():
+    # served segments are memoised per check-file version in revoca.service,
+    # never in store state that publish and prune would have to invalidate
+    (cls,) = [node for node in _tree(SRC / "service.py").body if isinstance(node, ast.ClassDef) and node.name == "PublicationStore"]
+    assigned = {
+        node.attr
+        for node in ast.walk(cls)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store) and getattr(node.value, "id", None) == "self"
+    }
+    assert assigned == {"root"}, assigned
+
+
+def test_no_global_statements():
+    # process-wide state lives in a bounded functools cache, not in a module
+    # variable that functions rebind
+    sites = [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Global)
+    ]
+    assert sites == [], sites
 
 
 def test_every_module_level_name_is_used():

@@ -261,9 +261,9 @@ class TestClient:
         client.fetch_revocation_table(10)
         assert len(parses) == 3 + service.TABLE_CACHE_DAYS + 1
 
-    def test_server_segment_cache_keeps_one_entry_per_segment(self, world):
-        # the serving process never runs publish_check, so each republish of
-        # a day must replace its cached segment, not add a stale copy
+    def test_each_republish_serves_the_new_segment(self, world):
+        # the serving process never runs publish_check: a republished day
+        # must still answer with its new segment
         publisher = world["store"]
         server = service.PublicationStore(publisher.root)
         issuer, day = world["issuer"], 10
@@ -273,30 +273,67 @@ class TestClient:
             os.utime(publisher.check_path(day), ns=(stamp * 10**9, stamp * 10**9))
             check, _ = actors.issuer_export_day(issuer)
             assert server.segment_bytes(day, 1) == snapshot_to_bytes(check.segment(1))
-        assert [key for key in server._segment_cache if key[:2] == (day, 1)] == [(day, 1)]
 
-    def test_pruned_days_leave_no_cached_segments(self, world):
-        # the store that prunes drops a pruned day's segments at once; a server
-        # on the same directory, which never prunes, drops them on its next
-        # cache miss or 404
+    def test_republish_with_an_equal_mtime_serves_the_new_segment(self, world):
+        # mtime is a weak validator: a republish inside one timestamp tick
+        # must not serve the segments of the file it replaced
+        publisher, issuer, day = world["store"], world["issuer"], 10
+        server = service.PublicationStore(publisher.root)
+        stamp = publisher.check_path(day).stat().st_mtime_ns
+        old = [server.segment_bytes(day, j) for j in range(PARAMS.sigma)]
+        for i in range(8):
+            actors.issuer_issue(issuer, f"h-new-{i}", {}, 400, signing_public_key(generate_signing_key(world["rng"])))
+        actors.issuer_publish(issuer, publisher)
+        os.utime(publisher.check_path(day), ns=(stamp, stamp))
+        check, _ = actors.issuer_export_day(issuer)
+        new = [snapshot_to_bytes(check.segment(j)) for j in range(PARAMS.sigma)]
+        assert new != old
+        assert [server.segment_bytes(day, j) for j in range(PARAMS.sigma)] == new
+
+    def test_pruned_day_is_404_on_a_store_that_never_prunes(self, world):
+        # a server on the same directory as the pruning store answers 404
+        # for a pruned day's segments, however often it served them before
         publisher = world["store"]
-        servers = [service.PublicationStore(publisher.root) for _ in range(2)]
-        for store in (publisher, *servers):
+        server = service.PublicationStore(publisher.root)
+        for store in (publisher, server):
             for j in range(PARAMS.sigma):
                 store.segment_bytes(10, j)
         actors.issuer_rollover(world["issuer"], 40, publisher)
         publisher.prune(40, 25)
         assert not publisher.check_path(10).exists()
-        assert [key for key in publisher._segment_cache if key[0] == 10] == []
-        assert service.resolve_path(servers[0], "/v1/days/10/check/segments/0")[0] == 404
-        servers[1].segment_bytes(40, 0)  # a cache miss
-        for server in servers:
-            assert [key for key in server._segment_cache if key[0] == 10] == []
+        for store in (publisher, server):
+            for j in range(PARAMS.sigma):
+                assert service.resolve_path(store, f"/v1/days/10/check/segments/{j}") == (404, "unknown-day", b"")
+        assert service.resolve_path(server, "/v1/days/40/check/segments/0")[0] == 200
 
-    def test_segment_cache_survives_concurrent_requests_and_prunes(self, world):
-        # server threads share the cache and drop pruned days while others
-        # serve and a publisher prunes: a request gets the right bytes or a
-        # 404, never a stray error
+    def test_out_of_range_segment_is_refused_without_a_parse(self, world, monkeypatch):
+        # the segment count comes from the check file's envelope, so a public
+        # request for a missing segment cannot make the server parse the file
+        store, parses = world["store"], []
+
+        def counting(path):
+            parses.append(path)
+            return read_snapshot(path)
+
+        service._segment_bytes.cache_clear()  # the memo is shared by the process
+        monkeypatch.setattr(service, "read_snapshot", counting)
+        for j in (PARAMS.sigma, 10**6):
+            assert service.resolve_path(store, f"/v1/days/10/check/segments/{j}") == (404, "unknown-segment", b"")
+        assert parses == []
+        for _ in range(2):
+            assert service.resolve_path(store, "/v1/days/10/check/segments/1")[0] == 200
+        assert parses == [store.check_path(10)]
+
+    def test_check_file_of_another_kind_is_a_classed_error(self, world):
+        store = world["store"]
+        _, revocation = actors.issuer_export_day(world["issuer"])
+        store.check_path(10).write_bytes(snapshot_to_bytes(revocation))
+        assert service.resolve_path(store, "/v1/days/10/check/segments/0") == (500, "unreadable-snapshot", b"")
+
+    def test_serving_during_concurrent_prunes(self, world):
+        # server threads share the memo while others serve and a publisher
+        # prunes: a request gets the right bytes or a 404, never a stray
+        # error, and the memo stays within its bound
         publisher = world["store"]
         actors.issuer_rollover(world["issuer"], 30, publisher)
         expected = {
@@ -304,6 +341,7 @@ class TestClient:
             for day in range(10, 31)
             for j in range(PARAMS.sigma)
         }
+        assert len(expected) > service.SEGMENT_MEMO_SIZE
         server = service.PublicationStore(publisher.root)
         failures = []
 
@@ -336,7 +374,7 @@ class TestClient:
         assert server.segment_bytes(30, 0) == expected[(30, 0)]
         with pytest.raises(service.ResourceNotFound):
             server.segment_bytes(10, 0)
-        assert {key[0] for key in server._segment_cache} <= {30}
+        assert service._segment_bytes.cache_info().currsize <= service.SEGMENT_MEMO_SIZE
 
     def test_serving_is_pure_between_publications(self, world):
         client = service.TableClient(service.InProcessTransport(world["store"]))
