@@ -6,7 +6,7 @@ from dataclasses import dataclass, replace
 from typing import Mapping, Tuple
 
 from .. import ahibe
-from ..encoding import CanonicalDecodeError, b64u_decode, canonical_decode, canonical_encode, write_atomic
+from ..encoding import CanonicalDecodeError, b64u_decode, canonical_decode, canonical_encode, decode_untrusted, write_atomic
 from ..primitives import sign, vc_id_from_hex, vc_id_hex, verify
 
 NONCE_LEN = 16
@@ -159,10 +159,7 @@ class Presentation:
     @classmethod
     def from_bytes(cls, data: bytes) -> "Presentation":
         """Decode untrusted bytes; every malformed shape is a CanonicalDecodeError."""
-        try:
-            return cls.from_record(canonical_decode(data))
-        except (LookupError, TypeError, AttributeError, ValueError) as exc:
-            raise CanonicalDecodeError(f"malformed presentation: {exc}") from exc
+        return decode_untrusted(data, cls.from_record, "presentation")
 
 
 class TrustStore:
@@ -170,9 +167,6 @@ class TrustStore:
 
     def __init__(self, issuers: Mapping[str, bytes] | None = None):
         self.issuers = dict(issuers or {})
-
-    def add(self, issuer_id: str, public_key: bytes) -> None:
-        self.issuers[issuer_id] = public_key
 
     def get(self, issuer_id: str) -> bytes | None:
         return self.issuers.get(issuer_id)

@@ -11,7 +11,7 @@ new day's identities at freshly derived indices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 from .. import ahibe
 from ..encoding import b64u_decode, canonical_decode, canonical_encode, write_atomic
@@ -112,7 +112,6 @@ def issuer_init(
     day: int,
     mpp: ahibe.MasterPublicParams,
     issuer_id: str,
-    signing_key: Optional[bytes] = None,
     rng: RandomBytes = default_rng,
 ) -> IssuerState:
     """Fresh issuer with empty registry and empty day-`day` tables."""
@@ -120,7 +119,7 @@ def issuer_init(
         raise ValueError("day index must be non-negative")
     return IssuerState(
         issuer_id=issuer_id,
-        signing_key=signing_key if signing_key is not None else generate_signing_key(rng),
+        signing_key=generate_signing_key(rng),
         mpp=mpp,
         params=params,
         current_day=day,

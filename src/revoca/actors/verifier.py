@@ -74,9 +74,6 @@ class StatusResult:
     segment_bytes: int
     table_bytes: int
 
-    def revoked(self, day: int) -> bool:
-        return bool(self.statuses[day])
-
 
 def verifier_check(
     presentation: Presentation,

@@ -18,7 +18,7 @@ import base64
 import json
 import os
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 
 class CanonicalEncodeError(ValueError):
@@ -81,6 +81,15 @@ def canonical_decode(data: bytes) -> Any:
         return json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise CanonicalDecodeError(str(exc)) from exc
+
+
+def decode_untrusted(data: bytes, from_record: Callable[[Any], Any], what: str) -> Any:
+    """`from_record` of the canonical record in untrusted bytes; every
+    malformed shape is a CanonicalDecodeError."""
+    try:
+        return from_record(canonical_decode(data))
+    except (LookupError, TypeError, AttributeError, ValueError) as exc:
+        raise CanonicalDecodeError(f"malformed {what}: {exc}") from exc
 
 
 def write_atomic(path, data: bytes, private: bool = False) -> None:

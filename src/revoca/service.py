@@ -36,7 +36,7 @@ from pathlib import Path
 from typing import Optional, Tuple
 
 from . import ahibe
-from .encoding import b64u_decode, canonical_decode, canonical_encode, write_atomic
+from .encoding import b64u_decode, canonical_decode, canonical_encode, decode_untrusted, write_atomic
 from .primitives import sign, verify
 from .tables import (
     CheckSegment,
@@ -61,6 +61,8 @@ PARAMS_FILENAME = "params.doc"
 TABLE_CACHE_DAYS = 2
 
 SEGMENT_MEMO_SIZE = 64  # every segment of four days at the default sigma = 16
+
+HTTP_TIMEOUT_SECONDS = 10.0
 
 ROUTES = (
     "/v1/params",
@@ -127,7 +129,8 @@ class PublicParamsDocument:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "PublicParamsDocument":
-        return cls.from_record(canonical_decode(data))
+        """Decode untrusted bytes; every malformed shape is a CanonicalDecodeError."""
+        return decode_untrusted(data, cls.from_record, "params document")
 
 
 def make_params_document(
@@ -263,16 +266,15 @@ class InProcessTransport:
 
 
 class HttpTransport:
-    def __init__(self, base_url: str, timeout: float = 10.0):
+    def __init__(self, base_url: str):
         parsed = urllib.parse.urlsplit(base_url)
         if parsed.scheme != "http":
             raise ValueError("only plain http is supported")
         self.host = parsed.hostname
         self.port = parsed.port or 80
-        self.timeout = timeout
 
     def get(self, path: str) -> Tuple[int, Optional[str], bytes]:
-        conn = http.client.HTTPConnection(self.host, self.port, timeout=self.timeout)
+        conn = http.client.HTTPConnection(self.host, self.port, timeout=HTTP_TIMEOUT_SECONDS)
         try:
             conn.request("GET", path)
             response = conn.getresponse()
@@ -283,56 +285,43 @@ class HttpTransport:
             conn.close()
 
 
-@dataclass(frozen=True)
-class FetchRecord:
-    path: str
-    nbytes: int
-    day: Optional[int]
-
-
 class TableClient:
-    """Fetches published artifacts, verifying content digests and recording
+    """Fetches published artifacts, verifying content digests and returning
     every transfer's exact body size."""
 
     def __init__(self, transport):
         self.transport = transport
-        self.log: list = []
         self._params: Optional[PublicParamsDocument] = None
         # day -> (body SHA-256, parsed table), least recently used first; a
         # newer body for a day replaces the older one
         self._tables = OrderedDict()
 
-    def _get(self, path: str, day: Optional[int]) -> bytes:
+    def _get(self, path: str) -> bytes:
         status, reason, body = self.transport.get(path)
         if status != 200:
             raise ResourceNotFound(reason or "not-found")
-        self.log.append(FetchRecord(path=path, nbytes=len(body), day=day))
         return body
-
-    def fetch_params(self) -> PublicParamsDocument:
-        body = self._get("/v1/params", None)
-        return PublicParamsDocument.from_bytes(body)
 
     def params(self) -> PublicParamsDocument:
         """Cached params document; immutable for the deployment lifetime."""
         if self._params is None:
-            self._params = self.fetch_params()
+            self._params = PublicParamsDocument.from_bytes(self._get("/v1/params"))
         return self._params
 
     def prime_params(self, document: PublicParamsDocument) -> None:
-        """Install a params document obtained out of band (no fetch logged)."""
+        """Install a params document obtained out of band (no fetch made)."""
         self._params = document
 
     def fetch_segment(self, day: int, segment_index: int) -> Tuple[CheckSegment, int]:
-        body = self._get(f"/v1/days/{day}/check/segments/{segment_index}", day)
+        body = self._get(f"/v1/days/{day}/check/segments/{segment_index}")
         segment = snapshot_from_bytes(body)
         if not isinstance(segment, CheckSegment) or segment.day != day:
             raise CorruptSnapshotError("response is not the requested check segment")
         return segment, len(body)
 
     def fetch_revocation_table(self, day: int) -> Tuple[RevocationTableSnapshot, int]:
-        body = self._get(f"/v1/days/{day}/revocation", day)
-        # parsing is cached by content; the transfer is still logged above
+        body = self._get(f"/v1/days/{day}/revocation")
+        # parsing is cached by content; the transfer is still made and counted
         digest = hashlib.sha256(body).digest()
         cached = self._tables.pop(day, None)
         if cached is not None and cached[0] == digest:
@@ -382,9 +371,10 @@ def serve(state_dir, bind_address: str = "127.0.0.1:0") -> ThreadingHTTPServer:
     return server
 
 
-def serve_in_thread(state_dir, bind_address: str = "127.0.0.1:0"):
-    """Convenience for tests and the simulator: returns (server, base_url)."""
-    server = serve(state_dir, bind_address)
+def serve_in_thread(state_dir):
+    """Serve on a free loopback port in a daemon thread: returns (server,
+    base_url)."""
+    server = serve(state_dir)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     host, port = server.server_address[:2]

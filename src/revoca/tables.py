@@ -5,7 +5,8 @@ Both are hash tables with separate chaining. The check table holds one
 revocation table holds encrypted revocation documents in overflow lists and
 is only ever fetched whole (a bucket-level fetch would tell the publisher
 which slot a verifier cares about). Snapshots are immutable values; updates
-return new snapshots.
+return new snapshots. Check tables and segments are kept in memory in their
+file form: the per-bucket counts and one string of digests.
 
 Snapshot files are fixed-width binary. An envelope (magic, version, the
 SHA-256 of every byte after it, kind, day, the kind's fixed fields) precedes
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from bisect import bisect_left
 from dataclasses import astuple, dataclass, replace
 from itertools import chain
 from typing import Iterable, Mapping, Optional
@@ -109,27 +109,20 @@ class SnapshotRecord:
     body: bytes
 
 
-def _pack_buckets(buckets) -> tuple:
-    """(body, digest count): the per-bucket count array, then every digest in
-    bucket order."""
-    counts = [len(bucket) for bucket in buckets]
-    digests = b"".join(chain.from_iterable(buckets))
+def _check_body(counts: tuple, digests: bytes) -> bytes:
+    """The body of a check table or segment: the per-bucket count array, then
+    the digests."""
     if len(digests) != _DIGEST_LEN * sum(counts):
         raise ValueError(f"check digests must be {_DIGEST_LEN} bytes")
-    return struct.pack(f">{len(counts)}I", *counts) + digests, sum(counts)
+    return struct.pack(f">{len(counts)}I", *counts) + digests
 
 
-def _unpack_buckets(body: bytes, width: int, count: int) -> tuple:
+def _split_body(body: bytes, width: int, count: int) -> tuple:
+    """(counts, digests) of a check body of `width` buckets and `count` digests."""
     counts = struct.unpack_from(f">{width}I", body)
-    start = 4 * width
-    if sum(counts) != count or len(body) != start + _DIGEST_LEN * count:
+    if sum(counts) != count or len(body) != 4 * width + _DIGEST_LEN * count:
         raise CorruptSnapshotError("bucket counts do not match the digests")
-    digests = [body[i : i + _DIGEST_LEN] for i in range(start, len(body), _DIGEST_LEN)]
-    buckets, end = [], 0
-    for n in counts:
-        end += n
-        buckets.append(tuple(digests[end - n : end]))
-    return tuple(buckets)
+    return counts, body[4 * width :]
 
 
 @dataclass(frozen=True)
@@ -137,60 +130,55 @@ class CheckSegment:
     day: int
     segment_index: int
     start_bucket: int
-    buckets: tuple
+    counts: tuple  # digests per bucket
+    digests: bytes  # the digests bucket by bucket, sorted within each bucket
 
     def contains(self, digest: bytes, params: TableParams) -> bool:
-        if segment_for_digest(digest, params) != self.segment_index or len(self.buckets) != params.segment_width:
+        if segment_for_digest(digest, params) != self.segment_index or len(self.counts) != params.segment_width:
             raise SegmentRangeError("digest's bucket lies outside this segment")
-        bucket = self.buckets[check_bucket(digest, params.c) - self.start_bucket]
-        pos = bisect_left(bucket, digest)
-        return pos < len(bucket) and bucket[pos] == digest
+        bucket = check_bucket(digest, params.c) - self.start_bucket
+        start = _DIGEST_LEN * sum(self.counts[:bucket])
+        end = start + _DIGEST_LEN * self.counts[bucket]
+        return any(self.digests[i : i + _DIGEST_LEN] == digest for i in range(start, end, _DIGEST_LEN))
 
     def to_record(self) -> SnapshotRecord:
-        body, count = _pack_buckets(self.buckets)
-        return SnapshotRecord(self.day, (self.segment_index, self.start_bucket, len(self.buckets), count), body)
+        fields = (self.segment_index, self.start_bucket, len(self.counts), sum(self.counts))
+        return SnapshotRecord(self.day, fields, _check_body(self.counts, self.digests))
 
     @classmethod
     def from_record(cls, rec: SnapshotRecord) -> "CheckSegment":
         segment_index, start_bucket, width, count = rec.fields
         if start_bucket != segment_index * width:
             raise CorruptSnapshotError("segment start does not match its index")
-        return cls(rec.day, segment_index, start_bucket, _unpack_buckets(rec.body, width, count))
+        return cls(rec.day, segment_index, start_bucket, *_split_body(rec.body, width, count))
 
 
 @dataclass(frozen=True)
 class CheckTableSnapshot:
     day: int
     params: TableParams
-    buckets: tuple  # c tuples of sorted digests
-
-    def contains(self, digest: bytes) -> bool:
-        return self.segment(segment_for_digest(digest, self.params)).contains(digest, self.params)
+    counts: tuple  # digests in each of the c buckets
+    digests: bytes  # the digests bucket by bucket, sorted within each bucket
 
     def segment(self, segment_index: int) -> CheckSegment:
         if not 0 <= segment_index < self.params.sigma:
             raise SegmentRangeError(f"segment index {segment_index} out of range")
         width = self.params.segment_width
         start = segment_index * width
-        return CheckSegment(
-            day=self.day,
-            segment_index=segment_index,
-            start_bucket=start,
-            buckets=self.buckets[start : start + width],
-        )
-
-    def entry_count(self) -> int:
-        return sum(len(b) for b in self.buckets)
+        counts = self.counts[start : start + width]
+        offset = _DIGEST_LEN * sum(self.counts[:start])
+        digests = self.digests[offset : offset + _DIGEST_LEN * sum(counts)]
+        return CheckSegment(self.day, segment_index, start, counts, digests)
 
     def to_record(self) -> SnapshotRecord:
-        body, count = _pack_buckets(self.buckets)
-        return SnapshotRecord(self.day, (*astuple(self.params), count), body)
+        fields = (*astuple(self.params), sum(self.counts))
+        return SnapshotRecord(self.day, fields, _check_body(self.counts, self.digests))
 
     @classmethod
     def from_record(cls, rec: SnapshotRecord) -> "CheckTableSnapshot":
         *params, count = rec.fields
         params = TableParams(*params)
-        return cls(rec.day, params, _unpack_buckets(rec.body, params.c, count))
+        return cls(rec.day, params, *_split_body(rec.body, params.c, count))
 
 
 def build_check_table(entries: Iterable[bytes], params: TableParams, day: int) -> CheckTableSnapshot:
@@ -198,7 +186,9 @@ def build_check_table(entries: Iterable[bytes], params: TableParams, day: int) -
     buckets = [[] for _ in range(params.c)]
     for digest in set(entries):
         buckets[check_bucket(digest, params.c)].append(digest)
-    return CheckTableSnapshot(day=day, params=params, buckets=tuple(tuple(sorted(b)) for b in buckets))
+    for bucket in buckets:
+        bucket.sort()
+    return CheckTableSnapshot(day, params, tuple(map(len, buckets)), b"".join(chain.from_iterable(buckets)))
 
 
 @dataclass(frozen=True)

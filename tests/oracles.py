@@ -16,8 +16,10 @@ key-check oracle is the package's earlier randomized probe: encapsulate
 fresh, seal a random probe and open it with the day key, whose bw2 points
 are decoded unchecked. The table oracles are the package's earlier table
 code: the version-1 snapshot codec (canonical JSON records with a SHA-256
-over their canonical re-encoding) and the rollover build that inserts one
-document at a time.
+over their canonical re-encoding), the per-bucket digest tuples a check
+table once held, and the rollover build that inserts one document at a time.
+The recording transport witnesses what a verifier asks of the publisher: it
+sees every request, answered or not, below the client.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+from itertools import chain
 
 from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
@@ -377,6 +380,21 @@ def _check_digest_guard(rec, kind: str) -> None:
         raise CorruptSnapshotError("malformed snapshot record") from exc
 
 
+def check_buckets(snapshot) -> tuple:
+    """The per-bucket digest tuples of a check table or segment, rebuilt from
+    its counts and digest string."""
+    buckets, start = [], 0
+    for count in snapshot.counts:
+        end = start + 32 * count
+        buckets.append(tuple(snapshot.digests[i : i + 32] for i in range(start, end, 32)))
+        start = end
+    return tuple(buckets)
+
+
+def _counts_and_digests(buckets) -> tuple:
+    return tuple(map(len, buckets)), b"".join(chain.from_iterable(buckets))
+
+
 def snapshot_to_bytes_v1(snapshot) -> bytes:
     rec = {"version": "1", "kind": _KIND_NAMES[type(snapshot)], "day": snapshot.day}
     if type(snapshot) is CheckSegment:
@@ -389,7 +407,7 @@ def snapshot_to_bytes_v1(snapshot) -> bytes:
             for bucket in snapshot.buckets
         ]
     else:
-        rec["buckets"] = [list(bucket) for bucket in snapshot.buckets]
+        rec["buckets"] = [list(bucket) for bucket in check_buckets(snapshot)]
     rec["sha256"] = _record_digest(rec)
     return canonical_encode(rec)
 
@@ -403,10 +421,11 @@ def snapshot_from_bytes_v1(data: bytes):
     _check_digest_guard(rec, kind)
     if kind == "check-segment":
         buckets = tuple(tuple(b64u_decode(d) for d in bucket) for bucket in rec["buckets"])
-        return CheckSegment(rec["day"], rec["segment_index"], rec["start_bucket"], buckets)
+        return CheckSegment(rec["day"], rec["segment_index"], rec["start_bucket"], *_counts_and_digests(buckets))
     params = TableParams.from_record(rec["params"])
     if kind == "check":
-        return CheckTableSnapshot(rec["day"], params, tuple(tuple(b64u_decode(d) for d in b) for b in rec["buckets"]))
+        buckets = tuple(tuple(b64u_decode(d) for d in bucket) for bucket in rec["buckets"])
+        return CheckTableSnapshot(rec["day"], params, *_counts_and_digests(buckets))
     if kind == "revocation":
         buckets = tuple(
             tuple(
@@ -431,3 +450,17 @@ def rebuild_revocation_oracle(state, day: int) -> RevocationTableSnapshot:
             index, entry = _build_entry(state, record, vc_id, registered.document, day)
             snapshot = snapshot.insert(index, entry)
     return snapshot
+
+
+class RecordingTransport:
+    """Forwards to a transport and records every request as (path, status,
+    body size), whether or not it was answered."""
+
+    def __init__(self, transport):
+        self.transport = transport
+        self.requests = []
+
+    def get(self, path: str):
+        status, reason, body = self.transport.get(path)
+        self.requests.append((path, status, len(body)))
+        return status, reason, body

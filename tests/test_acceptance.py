@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from oracles import hkdf_oracle, hmac_sha256_oracle, poisson_tail_bound
+from oracles import RecordingTransport, hkdf_oracle, hmac_sha256_oracle, poisson_tail_bound
 from revoca import actors, ahibe, service
 from revoca.primitives import (
     AuthFailure,
@@ -61,7 +61,7 @@ class MiniWorld:
         actors.issuer_publish(self.issuer, self.store)
 
     def client(self):
-        client = service.TableClient(service.InProcessTransport(self.store))
+        client = service.TableClient(RecordingTransport(service.InProcessTransport(self.store)))
         client.prime_params(self.document)
         return client
 
@@ -163,7 +163,7 @@ def test_criterion_02_attack1_cross_day_decryption(tmp_path):
     # a day-T authorization succeeds only against day-T snapshots
     presentation = world.present(target, [day_t])
     result = actors.verifier_check(presentation, world.trust, world.client(), current_day=2, rng=world.rng)
-    assert result.revoked(day_t)
+    assert result.statuses[day_t]
     token = presentation.authorizations[0].day_token
     digest = compute_check_digest(token, target.vc_id)
     for other_day in (0, 2):
@@ -171,7 +171,7 @@ def test_criterion_02_attack1_cross_day_decryption(tmp_path):
         from revoca.tables import snapshot_from_bytes
 
         other_check = snapshot_from_bytes(check_bytes)
-        assert not other_check.contains(digest)
+        assert not other_check.segment(segment_for_digest(digest, params)).contains(digest, params)
     _ok(2, f"day-T key opened 0/{attempts} entries published for adjacent days; day-T token authenticates only in the day-T table")
 
 
@@ -195,7 +195,7 @@ def test_criterion_03_attack2_uniform_requests(tmp_path):
         client = world.client()
         presentation = world.present(credential, [0])
         actors.verifier_check(presentation, world.trust, client, 0, world.rng)
-        logs.append([(r.path, r.nbytes, r.day) for r in client.log])
+        logs.append(client.transport.requests)
     assert logs[0] == logs[1]
 
     import re
@@ -215,7 +215,7 @@ def test_criterion_04_attack3_no_holder_issuer_channel(tmp_path):
     client = world.client()
     result = actors.verifier_check(presentation, world.trust, client, 0, world.rng)
     assert result.statuses == {0: ()}
-    paths = [record.path for record in client.log]
+    paths = [path for path, _, _ in client.transport.requests]
     assert paths == ["/v1/days/0/check/segments/" + paths[0].rsplit("/", 1)[1], "/v1/days/0/revocation"]
     assert credential.vc_id.hex() not in "".join(paths)
     assert credential.root not in "".join(paths)
@@ -304,16 +304,16 @@ def test_criterion_08_time_flexibility(tmp_path):
 
     presentation = world.present(credential, [2, 3, 5])
     result = actors.verifier_check(presentation, world.trust, world.client(), current_day=6, rng=world.rng)
-    assert not result.revoked(2)   # absent on the day before publication
-    assert result.revoked(3)       # found on the archived publication day
-    assert result.revoked(5)       # re-inserted on later days
+    assert not result.statuses[2]   # absent on the day before publication
+    assert result.statuses[3]       # found on the archived publication day
+    assert result.statuses[5]       # re-inserted on later days
 
     future = world.present(credential, [8])
     with pytest.raises(actors.DeferredFutureDay):
         actors.verifier_check(future, world.trust, world.client(), current_day=6, rng=world.rng)
     actors.issuer_rollover(world.issuer, 8, store=world.store)
     result = actors.verifier_check(future, world.trust, world.client(), current_day=8, rng=world.rng)
-    assert result.revoked(8)
+    assert result.statuses[8]
     _ok(8, "past-day auths verify against archives (revocation visible exactly from its publication day); future-day auth defers, then verifies on arrival")
 
 
@@ -323,11 +323,11 @@ def test_criterion_09_same_day_freshness(tmp_path):
     credential = world.vcs[1]
     presentation = world.present(credential, [9])
     before = actors.verifier_check(presentation, world.trust, world.client(), 9, world.rng)
-    assert not before.revoked(9)
+    assert not before.statuses[9]
     world.revoke(credential)
     actors.issuer_publish(world.issuer, world.store)  # same-day re-publication
     after = actors.verifier_check(presentation, world.trust, world.client(), 9, world.rng)
-    assert after.revoked(9)
+    assert after.statuses[9]
     _ok(9, "revocation published on day T is detected by a day-T check immediately after export")
 
 
@@ -368,10 +368,11 @@ def test_criterion_11_bandwidth_accounting(tmp_path):
     client = large.client()
     presentation = large.present(large.vcs[1], [4])
     result = actors.verifier_check(presentation, large.trust, client, 4, large.rng)
-    day_fetches = [record for record in client.log if record.day == 4]
+    day_fetches = [request for request in client.transport.requests if request[0].startswith("/v1/days/4/")]
     assert len(day_fetches) == 2  # exactly one segment + one revocation table
-    assert result.segment_bytes == day_fetches[0].nbytes
-    assert result.table_bytes == day_fetches[1].nbytes
+    assert [status for _, status, _ in day_fetches] == [200, 200]
+    assert result.segment_bytes == day_fetches[0][2]
+    assert result.table_bytes == day_fetches[1][2]
     full_check_table = len(large.store.check_bytes(4))
     assert result.segment_bytes < full_check_table
     _ok(

@@ -1,3 +1,5 @@
+import functools
+import json
 import os
 import random
 import re
@@ -5,9 +7,11 @@ import sys
 import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import snapshot_to_bytes_v1
+from oracles import RecordingTransport, check_buckets, snapshot_to_bytes_v1
 from revoca import actors, ahibe, service
+from revoca.encoding import CanonicalDecodeError, canonical_decode
 from revoca.primitives import generate_signing_key, signing_public_key
 from revoca.tables import (
     CorruptSnapshotError,
@@ -77,6 +81,69 @@ class TestParamsDocument:
         assert fast.verify_signature(issuer.public_key)
 
 
+@functools.lru_cache(maxsize=None)
+def _params_record() -> dict:
+    """The decoded record of a valid signed params document."""
+    rng = _rng(21)
+    mpp, _ = ahibe.setup("test", rng)
+    document = service.make_params_document(mpp, PARAMS, 0, 86400, "iss", generate_signing_key(rng))
+    return canonical_decode(document.to_bytes())
+
+
+class _Answer:
+    """A transport that answers every request with 200 and one body."""
+
+    def __init__(self, body: bytes):
+        self.body = body
+
+    def get(self, path):
+        return 200, None, self.body
+
+
+@pytest.mark.parametrize("body", [
+    b"{}", b"[]", b'"x"', b"1", b"null", b"", b"\xff", b"{",
+    b'{"mpp":1,"table_params":{},"epoch":0,"granularity_seconds":1,"issuer_id":"i","signature":""}',
+])
+def test_params_decoder_raises_only_canonical_decode_error(body):
+    with pytest.raises(CanonicalDecodeError):
+        service.PublicParamsDocument.from_bytes(body)
+    with pytest.raises(CanonicalDecodeError):  # as served over HTTP
+        service.TableClient(_Answer(body)).params()
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_params_documents_decode_or_raise_canonical_decode_error(data):
+    """A valid document with one field removed or replaced, at the top level
+    or in the table parameters, or with its bytes flipped or cut: the decoder
+    returns a document or raises CanonicalDecodeError, nothing else."""
+    rec = json.loads(json.dumps(_params_record()))
+    target = data.draw(st.sampled_from((rec, rec["table_params"])))
+    key = data.draw(st.sampled_from(sorted(target)))
+    if data.draw(st.booleans()):
+        del target[key]
+    else:
+        target[key] = data.draw(_JSON)
+    raw = bytearray(json.dumps(rec).encode())
+    if data.draw(st.booleans()):
+        at = data.draw(st.integers(0, len(raw) - 1))
+        raw[at] ^= data.draw(st.integers(1, 255))
+    if data.draw(st.booleans()):
+        del raw[data.draw(st.integers(0, len(raw))):]
+    try:
+        document = service.PublicParamsDocument.from_bytes(bytes(raw))
+    except CanonicalDecodeError:
+        return
+    assert isinstance(document, service.PublicParamsDocument)
+
+
 class TestRoutes:
     def test_endpoint_enumeration_has_no_credential_parameter(self):
         # the whole public surface: three templates, parameterized only by
@@ -114,10 +181,10 @@ class TestRoutes:
         total = 0
         for j in range(PARAMS.sigma):
             segment = service.TableClient(service.InProcessTransport(store)).fetch_segment(10, j)[0]
-            buckets = range(segment.start_bucket, segment.start_bucket + len(segment.buckets))
+            buckets = range(segment.start_bucket, segment.start_bucket + len(check_buckets(segment)))
             assert seen.isdisjoint(buckets)
             seen.update(buckets)
-            total += sum(len(b) for b in segment.buckets)
+            total += sum(len(b) for b in check_buckets(segment))
         assert seen == set(range(PARAMS.c))
         assert total == 1  # the one issued credential
 
@@ -161,18 +228,21 @@ class TestTransports:
 
 class TestClient:
     def test_fetch_log_counts_exact_bytes(self, world):
-        client = service.TableClient(service.InProcessTransport(world["store"]))
-        client.fetch_params()
+        transport = RecordingTransport(service.InProcessTransport(world["store"]))
+        client = service.TableClient(transport)
+        client.params()
         segment, seg_bytes = client.fetch_segment(10, 2)
         table, tbl_bytes = client.fetch_revocation_table(10)
-        sizes = [record.nbytes for record in client.log]
+        sizes = [nbytes for _, _, nbytes in transport.requests]
         assert sizes == [
             len(world["store"].params_bytes()),
             len(world["store"].segment_bytes(10, 2)),
             len(world["store"].revocation_bytes(10)),
         ]
         assert (seg_bytes, tbl_bytes) == (sizes[1], sizes[2])
-        assert [record.day for record in client.log] == [None, 10, 10]
+        assert [path for path, _, _ in transport.requests] == [
+            "/v1/params", "/v1/days/10/check/segments/2", "/v1/days/10/revocation",
+        ]
 
     def test_missing_day_raises_lookup(self, world):
         client = service.TableClient(service.InProcessTransport(world["store"]))
@@ -378,8 +448,8 @@ class TestClient:
 
     def test_serving_is_pure_between_publications(self, world):
         client = service.TableClient(service.InProcessTransport(world["store"]))
-        a = client._get("/v1/days/10/revocation", 10)
-        b = client._get("/v1/days/10/revocation", 10)
+        a = client._get("/v1/days/10/revocation")
+        b = client._get("/v1/days/10/revocation")
         assert a == b
 
 
@@ -439,9 +509,10 @@ class TestRequestUniformity:
 
         logs = []
         for credential in pair:
-            client = service.TableClient(service.InProcessTransport(store))
+            transport = RecordingTransport(service.InProcessTransport(store))
+            client = service.TableClient(transport)
             client.prime_params(document)
             presentation = actors.holder_present(wallet, credential.vc_id, [10], rng(16), rng)
             actors.verifier_check(presentation, trust, client, 10, rng)
-            logs.append([(r.path, r.nbytes, r.day) for r in client.log])
+            logs.append(transport.requests)
         assert logs[0] == logs[1]

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (
     balls_into_bins_max,
+    check_buckets,
     poisson_tail_bound,
     rebuild_revocation_oracle,
     snapshot_from_bytes_v1,
@@ -19,7 +20,7 @@ from revoca.sim import CounterRng
 from revoca.tables import (
     MAX_BUCKETS,
     REVOCATION_STATUSES,
-    CheckTableSnapshot,
+    CheckSegment,
     CorruptSnapshotError,
     IntegrityError,
     RevocationDocument,
@@ -53,28 +54,41 @@ class TestTableParams:
         assert TableParams.from_record(PARAMS.to_record()) == PARAMS
 
 
+def _entry_count(snap) -> int:
+    return sum(map(len, check_buckets(snap)))
+
+
+def _member(snap, digest) -> bool:
+    """Membership by the rebuilt buckets, independent of `contains`."""
+    return digest in check_buckets(snap)[check_bucket(digest, snap.params.c)]
+
+
+def _contains(snap, digest) -> bool:
+    return snap.segment(segment_for_digest(digest, snap.params)).contains(digest, snap.params)
+
+
 class TestCheckTable:
     def test_empty_build(self):
         snap = build_check_table([], PARAMS, day=3)
-        assert len(snap.buckets) == PARAMS.c
-        assert all(len(b) == 0 for b in snap.buckets)
+        assert len(check_buckets(snap)) == PARAMS.c
+        assert all(len(b) == 0 for b in check_buckets(snap))
 
     def test_placement_and_dedup(self):
         zero_bucket = b"\x00" * 8 + rng.randbytes(24)
         snap = build_check_table([zero_bucket, zero_bucket], TableParams(d=4, c=4, sigma=2, min_anonymity=1), 0)
-        assert snap.buckets[0] == (zero_bucket,)
-        assert snap.entry_count() == 1
+        assert check_buckets(snap)[0] == (zero_bucket,)
+        assert _entry_count(snap) == 1
 
     def test_buckets_sorted(self):
         digests = [rng.randbytes(32) for _ in range(500)]
         snap = build_check_table(digests, PARAMS, 0)
-        for bucket in snap.buckets:
+        for bucket in check_buckets(snap):
             assert list(bucket) == sorted(bucket)
 
     def test_max_load_within_oracle_bound(self):
         digests = [rng.randbytes(32) for _ in range(10_000)]
         snap = build_check_table(digests, TableParams(d=1, c=1024, sigma=1, min_anonymity=1), 0)
-        observed = max(len(b) for b in snap.buckets)
+        observed = max(len(b) for b in check_buckets(snap))
         assert observed <= 40  # far above any plausible max for 10k into 1024
         assert observed <= max(40, balls_into_bins_max(10_000, 1024, trials=5))
 
@@ -82,8 +96,38 @@ class TestCheckTable:
         digests = [rng.randbytes(32) for _ in range(200)]
         snap = build_check_table(digests, PARAMS, 0)
         for digest in digests:
-            assert snap.contains(digest)
-        assert not snap.contains(rng.randbytes(32))
+            assert _contains(snap, digest) and _member(snap, digest)
+        absent = rng.randbytes(32)
+        assert not _contains(snap, absent) and not _member(snap, absent)
+
+    def test_digests_of_the_wrong_length_do_not_encode(self):
+        snap = build_check_table([rng.randbytes(32), rng.randbytes(31)], PARAMS, 0)
+        with pytest.raises(ValueError, match="32 bytes"):
+            snapshot_to_bytes(snap)
+        with pytest.raises(ValueError, match="32 bytes"):
+            snapshot_to_bytes(CheckSegment(0, 0, 0, (1, 0), bytes(33)))
+
+    def test_encoding_is_pinned(self):
+        """SHA-256 over encoded check tables and all their segments, fresh and
+        decoded, for seeded inputs: the bytes of the tuple-of-buckets codec."""
+        cases = (
+            (0, TableParams(d=1, c=16, sigma=4, min_anonymity=1)),
+            (64, TableParams(d=8, c=64, sigma=4, min_anonymity=1)),
+            (3000, TableParams(d=64, c=1024, sigma=8, min_anonymity=1)),
+            (10_000, TableParams(d=4096, c=4096, sigma=16, min_anonymity=256)),
+        )
+        pin = hashlib.sha256()
+        for n, params in cases:
+            r = random.Random(f"pin/{n}")
+            check = build_check_table([r.randbytes(32) for _ in range(n)], params, n % 1000)
+            raw = snapshot_to_bytes(check)
+            pin.update(raw)
+            decoded = snapshot_from_bytes(raw)
+            for j in range(params.sigma):
+                segment = snapshot_to_bytes(check.segment(j))
+                assert segment == snapshot_to_bytes(decoded.segment(j))
+                pin.update(segment)
+        assert pin.hexdigest() == "0baa04fb075522221ee6e301d5a629d688019a48471658ddf11d1ec06f745373"
 
 
 class TestSegments:
@@ -102,11 +146,11 @@ class TestSegments:
         for digest in digests:
             assert segments[segment_for_digest(digest, PARAMS)].contains(digest, PARAMS)
         # segments tile the buckets exactly
-        total = sum(len(b) for seg in segments for b in seg.buckets)
-        assert total == snap.entry_count()
+        total = sum(len(b) for seg in segments for b in check_buckets(seg))
+        assert total == _entry_count(snap)
         # membership across all segments finds exactly the inserted set
         for probe in (rng.randbytes(32) for _ in range(500)):
-            expected = snap.contains(probe)
+            expected = _member(snap, probe)
             assert segments[segment_for_digest(probe, PARAMS)].contains(probe, PARAMS) == expected
 
     def test_wrong_segment_is_range_error(self):
@@ -366,12 +410,14 @@ class TestCodecV2:
         assert snapshot_to_bytes(RevocationTableSnapshot.empty(params, 7)) == _file(3, 7, (8, 4, 2, 3, 0), b"")
 
         check = build_check_table([b"\x00" * 7 + bytes([i]) + rb(24) for i in (1, 2, 2, 3)], params, 7)
-        counts = struct.pack(">4I", *(len(b) for b in check.buckets))
-        assert snapshot_to_bytes(check) == _file(1, 7, (8, 4, 2, 3, 4), counts + b"".join(sum(check.buckets, ())))
+        buckets = check_buckets(check)
+        counts = struct.pack(">4I", *(len(b) for b in buckets))
+        assert snapshot_to_bytes(check) == _file(1, 7, (8, 4, 2, 3, 4), counts + b"".join(sum(buckets, ())))
         segment = check.segment(1)
+        buckets = check_buckets(segment)
         assert snapshot_to_bytes(segment) == _file(
-            2, 7, (1, 2, 2, len(sum(segment.buckets, ()))),
-            struct.pack(">2I", *map(len, segment.buckets)) + b"".join(sum(segment.buckets, ())),
+            2, 7, (1, 2, 2, len(sum(buckets, ()))),
+            struct.pack(">2I", *map(len, buckets)) + b"".join(sum(buckets, ())),
         )
 
     @pytest.mark.parametrize("level", SCHEMES)
