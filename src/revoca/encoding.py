@@ -34,12 +34,20 @@ def b64u(raw: bytes) -> str:
     return base64.urlsafe_b64encode(bytes(raw)).rstrip(b"=").decode("ascii")
 
 
+_FROM_URLSAFE = bytes.maketrans(b"-_", b"+/")
+
+
 def b64u_decode(text: str) -> bytes:
+    """The bytes whose `b64u` text is exactly `text`: padding, `+`, `/` and
+    nonzero trailing bits are refused, so one byte string has one text."""
     try:
-        padded = text.encode("ascii") + b"=" * (-len(text) % 4)
-        return base64.b64decode(padded, altchars=b"-_", validate=True)
+        padded = text.encode("ascii").translate(_FROM_URLSAFE) + b"=" * (-len(text) % 4)
+        raw = base64.b64decode(padded, validate=True)
     except (ValueError, TypeError, AttributeError) as exc:  # AttributeError: not text
         raise CanonicalDecodeError(f"invalid base64url field: {text!r}") from exc
+    if b64u(raw) != text:
+        raise CanonicalDecodeError(f"non-canonical base64url field: {text!r}")
+    return raw
 
 
 def _normalize(value: Any) -> Any:
@@ -81,6 +89,15 @@ def canonical_decode(data: bytes) -> Any:
         return json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise CanonicalDecodeError(str(exc)) from exc
+
+
+def record_int(value, what: str, minimum: int | None = None) -> int:
+    """An integer field of a decoded record: an int that is not a bool, and
+    at least `minimum` when one is given."""
+    if type(value) is not int or minimum is not None and value < minimum:
+        bound = "" if minimum is None else f" of at least {minimum}"
+        raise CanonicalDecodeError(f"{what} must be an integer{bound}, got {value!r}")
+    return value
 
 
 def decode_untrusted(data: bytes, from_record: Callable[[Any], Any], what: str) -> Any:

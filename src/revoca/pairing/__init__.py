@@ -13,6 +13,7 @@ from .curves import (  # noqa: F401
     g1_neg,
     g1_to_bytes,
     g2_add,
+    g2_comb,
     g2_from_bytes,
     g2_in_subgroup,
     g2_mul,

@@ -3,9 +3,9 @@
 G1 lives on E/Fq: y^2 = x^3 + 4; G2 on the sextic twist E'/Fq2:
 y^2 = x^3 + 4(1+u). Affine points are (x, y) tuples, None is the point at
 infinity. Scalar multiplication runs in Jacobian coordinates, on a point
-or on a fixed-base table (`g1_comb`). Compressed encodings follow the common
-48/96-byte convention (flag bits in the top of the x coordinate, sign =
-lexicographically larger y).
+or on a fixed-base table (`g1_comb`, `g2_comb`). Compressed encodings
+follow the common 48/96-byte convention (flag bits in the top of the x
+coordinate, sign = lexicographically larger y).
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from .fields import (
     BLS_X,
     COMB_ROWS,
     P,
+    FQ2_ONE,
     FQ2_ZERO,
     XI,
     Comb,
@@ -86,14 +87,7 @@ def g1_mul(pt, k: int):
     mod R and the product is one table addition per nonzero digit.
     """
     if type(pt) is Comb:  # fixed bases ride on this name, which perfbench times as pairing.g1_mul
-        acc = None
-        for row, d in zip(pt, comb_digits(k)):
-            if d:
-                x, y = row[abs(d) - 1]
-                y = y if d > 0 else P - y
-                # the sum may pass through infinity; the next digit restarts it
-                acc = (x, y, 1) if acc is None else _g1_jac_add(acc, x, y)
-        return _g1_jac_to_affine(acc)
+        return _g1_jac_to_affine(_comb_sum(pt, k, 1, _g1_jac_add, lambda y: P - y))
     if k < 0:
         return g1_neg(g1_mul(pt, -k))
     if pt is None or k == 0:
@@ -109,31 +103,50 @@ def g1_mul(pt, k: int):
 
 
 def g1_comb(pt) -> Comb:
-    """The fixed-base table of a G1 point other than infinity: per row the
-    even multiples of the row's base by doubling, the odd ones by a mixed
+    """The fixed-base table of a G1 point other than infinity."""
+    return _comb_build(pt, 1, _g1_jac_double, _g1_jac_add, _g1_jac_to_affine, lambda a, b: a * b % P, fq_inv)
+
+
+def _comb_sum(comb, k: int, one, add, neg):
+    """k times a comb's base in Jacobian coordinates: one mixed addition of a
+    table entry per nonzero digit of k mod R."""
+    acc = None
+    for row, d in zip(comb, comb_digits(k)):
+        if d:
+            x, y = row[abs(d) - 1]
+            y = y if d > 0 else neg(y)
+            # the sum may pass through infinity; the next digit restarts it
+            acc = (x, y, one) if acc is None else add(acc, x, y)
+    return acc
+
+
+def _comb_build(pt, one, double, add, to_affine, mul, inv) -> Comb:
+    """A comb of an affine point in either group, given the group's Jacobian
+    operations and its field's product and inverse: per row the even
+    multiples of the row's base by doubling, the odd ones by a mixed
     addition, and 16 times the base, the next row's, by one more doubling;
     then every entry to affine with one inversion."""
     entries = []
-    base = (pt[0], pt[1], 1)
+    base = (pt[0], pt[1], one)
     for _ in range(COMB_ROWS):
-        x, y = _g1_jac_to_affine(base)
-        row = [(x, y, 1)]
+        x, y = to_affine(base)
+        row = [(x, y, one)]
         for j in range(2, 9):
-            row.append(_g1_jac_double(row[j // 2 - 1]) if j % 2 == 0 else _g1_jac_add(row[-1], x, y))
+            row.append(double(row[j // 2 - 1]) if j % 2 == 0 else add(row[-1], x, y))
         entries += row
-        base = _g1_jac_double(row[-1])
+        base = double(row[-1])
     # Montgomery's trick: one inversion for all the Z coordinates
-    prefix = [1]
+    prefix = [one]
     for _, _, Z in entries:
-        prefix.append(prefix[-1] * Z % P)
-    inv = fq_inv(prefix[-1])
+        prefix.append(mul(prefix[-1], Z))
+    acc = inv(prefix[-1])
     affine = [None] * len(entries)
     for i in range(len(entries) - 1, -1, -1):
         X, Y, Z = entries[i]
-        zi = inv * prefix[i] % P
-        inv = inv * Z % P
-        zi2 = zi * zi % P
-        affine[i] = (X * zi2 % P, Y * zi2 % P * zi % P)
+        zi = mul(acc, prefix[i])
+        acc = mul(acc, Z)
+        zi2 = mul(zi, zi)
+        affine[i] = (mul(X, zi2), mul(mul(Y, zi2), zi))
     return Comb(tuple(affine[i : i + 8]) for i in range(0, len(affine), 8))
 
 
@@ -229,6 +242,9 @@ def g2_add(p1, p2):
 
 
 def g2_mul(pt, k: int):
+    """Scalar multiplication of a point or of a `g2_comb` table, as `g1_mul`."""
+    if type(pt) is Comb:  # fixed bases ride on this name, which perfbench times as pairing.g2_mul
+        return _g2_jac_to_affine(_comb_sum(pt, k, FQ2_ONE, _g2_jac_add, fq2_neg))
     if k < 0:
         return g2_neg(g2_mul(pt, -k))
     if pt is None or k == 0:
@@ -241,6 +257,11 @@ def g2_mul(pt, k: int):
         if bit == "1":
             acc = (x, y, (1, 0)) if acc is None else _g2_jac_add(acc, x, y)
     return _g2_jac_to_affine(acc)
+
+
+def g2_comb(pt) -> Comb:
+    """The fixed-base table of a G2 point other than infinity."""
+    return _comb_build(pt, FQ2_ONE, _g2_jac_double, _g2_jac_add, _g2_jac_to_affine, fq2_mul, fq2_inv)
 
 
 def _g2_jac_double(pt):

@@ -18,7 +18,8 @@ A fixed base B is instead raised through a `Comb`, a table whose row i holds
 j*16^i*B for j = 1..8 (written additively), and `comb_digits` recodes the
 scalar mod R into one signed digit per row (Brickell-Gordon-McCurley-Wilson,
 EUROCRYPT 1992): a power is then one table lookup per nonzero digit, with no
-doubling or squaring. `curves.g1_comb` and `pairing.gt_comb` build the tables.
+doubling or squaring. `curves.g1_comb`, `curves.g2_comb` and `pairing.gt_comb`
+build the tables.
 """
 
 from __future__ import annotations

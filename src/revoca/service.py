@@ -36,7 +36,7 @@ from pathlib import Path
 from typing import Optional, Tuple
 
 from . import ahibe
-from .encoding import b64u_decode, canonical_decode, canonical_encode, decode_untrusted, write_atomic
+from .encoding import CanonicalDecodeError, b64u_decode, canonical_decode, canonical_encode, decode_untrusted, record_int, write_atomic
 from .primitives import sign, verify
 from .tables import (
     CheckSegment,
@@ -118,11 +118,13 @@ class PublicParamsDocument:
 
     @classmethod
     def from_record(cls, rec) -> "PublicParamsDocument":
+        if type(rec["issuer_id"]) is not str:
+            raise CanonicalDecodeError(f"issuer_id must be text, got {rec['issuer_id']!r}")
         return cls(
             mpp=ahibe.from_record(ahibe.MasterPublicParams, canonical_decode(b64u_decode(rec["mpp"]))),
             table_params=TableParams.from_record(rec["table_params"]),
-            epoch=rec["epoch"],
-            granularity_seconds=rec["granularity_seconds"],
+            epoch=record_int(rec["epoch"], "epoch"),
+            granularity_seconds=record_int(rec["granularity_seconds"], "granularity_seconds", 1),
             issuer_id=rec["issuer_id"],
             signature=b64u_decode(rec["signature"]),
         )

@@ -25,7 +25,7 @@ from itertools import chain
 from typing import Iterable, Mapping, Optional
 
 from . import ahibe
-from .encoding import canonical_decode, canonical_encode, write_atomic
+from .encoding import canonical_decode, canonical_encode, record_int, write_atomic
 from .pairing import PointDecodeError
 from .primitives import AuthFailure, check_bucket, index_from_ciphertext, open_sealed, vc_id_from_hex, vc_id_hex
 
@@ -83,7 +83,7 @@ class TableParams:
 
     @classmethod
     def from_record(cls, rec: Mapping) -> "TableParams":
-        return cls(d=rec["d"], c=rec["c"], sigma=rec["sigma"], min_anonymity=rec["min_anonymity"])
+        return cls(**{name: record_int(rec[name], name, 1) for name in ("d", "c", "sigma", "min_anonymity")})
 
 
 def segment_for_digest(digest: bytes, params: TableParams) -> int:

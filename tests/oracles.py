@@ -11,7 +11,9 @@ prepared lines, a final exponentiation by the generic hard-part exponent
 with plain Fq12 squaring, the G1 and G2 subgroup checks by multiplication
 with the group order, the affine chord-and-tangent point additions, and the
 variable-base encapsulation, which multiplies the identity points F1 and F2
-by double-and-add and raises Omega by cyclotomic square-and-multiply. The
+by double-and-add and raises Omega by cyclotomic square-and-multiply, and
+the variable-base delegation, which builds F2(T) in G2 from the delegation
+points, decoded unchecked, and multiplies it and ghat by double-and-add. The
 key-check oracle is the package's earlier randomized probe: encapsulate
 fresh, seal a random probe and open it with the day key, whose bw2 points
 are decoded unchecked. The table oracles are the package's earlier table
@@ -38,12 +40,15 @@ from revoca.ahibe import pairing_scheme
 from revoca.encoding import CanonicalDecodeError, b64u_decode, canonical_decode, canonical_encode
 from revoca.pairing import (
     G1_GEN,
+    G2_GEN,
     final_exponentiation,
     g1_add,
     g1_from_bytes,
     g1_neg,
     g1_to_bytes,
+    g2_add,
     g2_from_bytes,
+    g2_to_bytes,
     gt_from_bytes,
     gt_pow,
 )
@@ -327,6 +332,23 @@ def encap_with_scalar_oracle(mpp, identity, s: int):
     )
     shared = gt_pow(gt_from_bytes(mpp.fields["omega"]), s)
     return header, pairing_scheme._kem_key(shared, header)
+
+
+def delegate_oracle(hk, day: int, rng):
+    """bw2 delegation to `day`: b0 = a0 + r2*F2(day), b2 = r2*ghat, with F2
+    built from the delegation points and every product taken of a point."""
+    a0 = g2_from_bytes(hk.key_material["a0"], check_subgroup=False)
+    d20 = g2_from_bytes(hk.delegation["d20"], check_subgroup=False)
+    d21 = g2_from_bytes(hk.delegation["d21"], check_subgroup=False)
+    tau = pairing_scheme._day_exponent(day)
+    r2 = pairing_scheme._rand_scalar(rng)
+    f2 = g2_add(d20, g2_mul(d21, tau))
+    b0 = g2_add(a0, g2_mul(f2, r2))
+    return ahibe.DayKey(
+        scheme_id=pairing_scheme.SCHEME_ID,
+        identity=ahibe.IdentityPath(hk.identity.root, day),
+        key_material={"b0": g2_to_bytes(b0), "b1": hk.key_material["a1"], "b2": g2_to_bytes(g2_mul(G2_GEN, r2))},
+    )
 
 
 # randomized key probe

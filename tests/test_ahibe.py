@@ -1,10 +1,11 @@
 import dataclasses
+import hashlib
 import json
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import encap_with_scalar_oracle, probe_key_oracle
+from oracles import delegate_oracle, encap_with_scalar_oracle, probe_key_oracle
 from test_pairing import G2_COFACTOR, _random_g2_curve_point, _torsion_point
 
 from revoca import ahibe
@@ -13,6 +14,7 @@ from revoca.pairing import R, PointDecodeError, g2_mul, g2_to_bytes, gt_to_bytes
 from revoca.pairing.fields import FQ12_ONE, P
 from revoca.encoding import CanonicalDecodeError, canonical_decode, canonical_encode
 from revoca.primitives import AuthFailure, open_sealed, seal
+from revoca.sim import CounterRng
 
 SCHEMES = ("test", "standard")
 # the public-key scheme pays real pairing costs; property loops shrink accordingly
@@ -212,6 +214,40 @@ class TestDelegation:
         dk = ahibe.delegate(hk, 1, rng)
         with pytest.raises((ahibe.LevelError, AttributeError)):
             ahibe.delegate(dk, 2, rng)
+
+    def test_standard_delegate_matches_variable_base_oracle(self):
+        # the fixed-base tables of d20, d21 and ghat give the bytes of r2*F2(T) and r2*ghat
+        mpp, msk = ahibe.setup("standard", _rng(12))
+        hk = ahibe.extract(msk, "holder-d", _rng(13))
+        r = random.Random(14)
+        for day in (0, 1, r.randrange(2**20), r.randrange(2**40)):
+            seed = r.randbytes(8)
+            dk = ahibe.delegate(hk, day, _rng(seed))
+            assert dk == delegate_oracle(hk, day, _rng(seed))
+            assert ahibe.probe_key(mpp, ahibe.IdentityPath("holder-d", day), dk)
+
+    def test_standard_keys_known_answer(self):
+        # taken with the variable-base setup, extract and delegate
+        rng = CounterRng(b"k" * 32)
+        mpp, msk = ahibe.setup("standard", rng)
+        hk = ahibe.extract(msk, "holder-k", rng)
+        keys = hashlib.sha256(b"".join(canonical_encode(ahibe.to_record(obj)) for obj in (mpp, msk, hk)))
+        assert keys.hexdigest() == "ee172f2b2abaa663a6155dc34124570ca15a8f02dec6065bdb131ccc6cb49ae9"
+        day_keys = hashlib.sha256(b"".join(canonical_encode(ahibe.to_record(ahibe.delegate(hk, day, rng))) for day in range(4)))
+        assert day_keys.hexdigest() == "9dac638839133892adad16b1a24fb3b221aba55930ccaa96b5b4f893c205bd11"
+
+    def test_delegation_material_outside_g2_rejected(self):
+        # a comb reduces its scalar mod R: delegation points must lie in G2,
+        # and d21 = O would make F2 independent of the day
+        rng = _rng(15)
+        _, msk = ahibe.setup("standard", rng)
+        hk = ahibe.extract(msk, "holder-t", rng)
+        order13 = g2_to_bytes(_torsion_point(g2_mul, _random_g2_curve_point(random.Random(20)), G2_COFACTOR * R, 13))
+        for name in ("d20", "d21"):
+            for forged_point in (order13, b"\xc0" + bytes(95)):
+                forged = dataclasses.replace(hk, delegation={**hk.delegation, name: forged_point})
+                with pytest.raises(PointDecodeError):
+                    ahibe.delegate(forged, 1, rng)
 
 
 class TestProbe:

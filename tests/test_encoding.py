@@ -44,6 +44,27 @@ def test_decode_rejects_garbage():
         b64u_decode("!!!not-b64!!!")
 
 
+def test_b64u_round_trip():
+    rng = random.Random(5)
+    for n in range(0, 40):
+        raw = rng.randbytes(n)
+        assert b64u_decode(b64u(raw)) == raw
+
+
+@pytest.mark.parametrize("text", [
+    "a+b/",  # the standard alphabet's spelling of "a-b_"
+    "-+__", "AA/A",
+    "AB",  # one byte with nonzero trailing bits: "AA" is its canonical text
+    "AAB",  # two bytes, likewise: "AAA"
+    "AA==", "AAA=",  # padding
+    "A", "AAAAA",  # no byte string has this length
+    " AA", "AA\n", "é", 7, b"AA", None,
+])
+def test_b64u_decode_refuses_noncanonical_text(text):
+    with pytest.raises(CanonicalDecodeError):
+        b64u_decode(text)
+
+
 def _random_value(rng: random.Random, depth: int = 0):
     kinds = ["int", "text", "bool", "bytes"]
     if depth < 2:

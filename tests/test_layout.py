@@ -2,9 +2,10 @@
 derivation, one ahibe record codec, one snapshot codec, linear rollover
 builds, one Miller loop behind the pairing API, day-key points decoded with
 the subgroup check, a key check without encapsulation or AEAD, fixed-base
-tables built only from checked public params, every functools cache bounded,
-no `global` statement, a publication store that holds only its root, and no
-module-level name that nothing in the program uses.
+tables built only from checked public params and delegation points, every
+functools cache bounded, no `global` statement, a publication store that
+holds only its root, and no module-level name that nothing in the program
+uses.
 
 "Uses" means a load of the name, bare or as an attribute, anywhere in
 src/revoca or perfbench/ outside the name's own definition. Tests do not
@@ -176,14 +177,25 @@ def test_key_probe_runs_no_encapsulation_or_aead():
 
 
 def test_fixed_base_tables_only_from_checked_public_params():
-    # a comb reduces its scalar mod R, which is sound only for a base in G1
-    # (or GT): _decode_public builds the tables after the subgroup and GT checks
-    sites = [
-        f"{_module(path)}.{qualified}"
-        for path in sorted(SRC.rglob("*.py"))
-        for qualified in _enclosing_calls(path, {"g1_comb", "gt_comb"})
-    ]
-    assert sites and set(sites) == {"revoca.ahibe.pairing_scheme._decode_public"}, sites
+    # a comb reduces its scalar mod R, which is sound only for a base in G1,
+    # G2 (or GT): _decode_public builds the G1 and GT tables after the
+    # subgroup and GT checks, _delegation_combs the G2 ones after the psi
+    # check, and _g2_gen_comb the table of the generator
+    def sites(names):
+        return {
+            f"{_module(path)}.{qualified}"
+            for path in sorted(SRC.rglob("*.py"))
+            for qualified in _enclosing_calls(path, names)
+        }
+
+    assert sites({"g1_comb", "gt_comb"}) == {"revoca.ahibe.pairing_scheme._decode_public"}
+    assert sites({"g2_comb"}) == {
+        "revoca.ahibe.pairing_scheme._delegation_combs",
+        "revoca.ahibe.pairing_scheme._g2_gen_comb",
+    }
+    (builder,) = [f for name, f in _functions(SRC / "ahibe" / "pairing_scheme.py") if name == "_delegation_combs"]
+    decodes = [c for c in ast.walk(builder) if isinstance(c, ast.Call) and getattr(c.func, "id", None) == "g2_from_bytes"]
+    assert decodes and all(len(c.args) == 1 and not c.keywords for c in decodes)  # the subgroup check stays on
     constructed = _calls("Comb")
     assert constructed and all(
         site.startswith(("src/revoca/pairing/curves.py:", "src/revoca/pairing/pairing.py:")) for site in constructed

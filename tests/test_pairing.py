@@ -33,6 +33,7 @@ from revoca.pairing import (
     g1_neg,
     g1_to_bytes,
     g2_add,
+    g2_comb,
     g2_from_bytes,
     g2_in_subgroup,
     g2_lines,
@@ -311,6 +312,17 @@ class TestFixedBase:
             passes += any(s != 0 and s % 11 == 0 for s in prefixes)
             assert g1_mul(comb, k) == g1_mul(order11, k)
         assert passes > 0
+
+    def test_g2_comb_matches_double_and_add(self):
+        r = random.Random(22)
+        # the generator, and a random point of G2: a twist point times the cofactor
+        random_point = g2_mul(_random_g2_curve_point(r), G2_COFACTOR)
+        assert random_point is not None and g2_in_subgroup(random_point)
+        for base in (G2_GEN, random_point):
+            comb = g2_comb(base)
+            assert comb[0][0] == base
+            for k in (16**63,) + EDGE_SCALARS + tuple(r.randrange(-(2**256), 2**256) for _ in range(4)):
+                assert g2_mul(comb, k) == g2_mul(base, k % R), k
 
     def test_gt_comb_matches_square_and_multiply(self):
         r = random.Random(21)

@@ -111,6 +111,24 @@ def test_params_decoder_raises_only_canonical_decode_error(body):
         service.TableClient(_Answer(body)).params()
 
 
+@pytest.mark.parametrize("target, key, value", [
+    (None, "epoch", "x"), (None, "epoch", True), (None, "epoch", 1.5), (None, "epoch", None),
+    (None, "granularity_seconds", 0), (None, "granularity_seconds", -86400),
+    (None, "granularity_seconds", False), (None, "granularity_seconds", "86400"),
+    (None, "issuer_id", 7), (None, "issuer_id", ["iss"]), (None, "issuer_id", None),
+    ("table_params", "d", True), ("table_params", "c", "32"), ("table_params", "sigma", 4.0),
+    ("table_params", "min_anonymity", False), ("table_params", "d", [32]),
+])
+def test_ill_typed_params_fields_raise_canonical_decode_error(target, key, value):
+    rec = json.loads(json.dumps(_params_record()))
+    (rec if target is None else rec[target])[key] = value
+    body = json.dumps(rec).encode()
+    with pytest.raises(CanonicalDecodeError):
+        service.PublicParamsDocument.from_bytes(body)
+    with pytest.raises(CanonicalDecodeError):
+        service.TableClient(_Answer(body)).params()
+
+
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.text(max_size=6),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
@@ -142,6 +160,7 @@ def test_mutated_params_documents_decode_or_raise_canonical_decode_error(data):
     except CanonicalDecodeError:
         return
     assert isinstance(document, service.PublicParamsDocument)
+    document.day_from_timestamp(document.epoch)  # a decoded document is well typed
 
 
 class TestRoutes:
