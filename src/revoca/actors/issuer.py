@@ -124,7 +124,7 @@ def issuer_init(
         params=params,
         current_day=day,
         registry={},
-        revocation=RevocationTableSnapshot.empty(params, day),
+        revocation=RevocationTableSnapshot(day, params),
         rng=rng,
     )
 

@@ -259,8 +259,9 @@ def cmd_holder_present(args) -> int:
     days = [int(part) for part in args.days.split(",") if part]
     nonce = bytes.fromhex(args.nonce)
     presentation = actors.holder_present(wallet, vc_id_from_hex(args.vc_id), days, nonce)
-    Path(args.out).write_bytes(presentation.to_bytes())
-    print(json.dumps({"presentation": args.out, "days": days, "bytes": len(presentation.to_bytes())}))
+    raw = presentation.to_bytes()
+    write_atomic(args.out, raw)
+    print(json.dumps({"presentation": args.out, "days": days, "bytes": len(raw)}))
     return 0
 
 
@@ -320,7 +321,7 @@ def cmd_sim_run(args) -> int:
         scheme=args.scheme,
     )
     report = sim.run_scenario(config, state_dir=args.keep_state)
-    Path(args.out).write_bytes(report.to_bytes())
+    write_atomic(args.out, report.to_bytes())
     print(report.render_text())
     if report.false_positives or report.false_negatives or report.forged_accepted or report.misclassified_rejections:
         raise CliError("scenario verdicts disagree with ground truth", code=4)

@@ -346,9 +346,8 @@ def run_scenario(config: ScenarioConfig, state_dir: Optional[str] = None) -> Sce
                     continue
                 tally(presentation, result, vc_id)
 
-            entries = issuer.revocation.entry_count()
-            stats.table_entries = entries
-            stats.max_overflow = issuer.revocation.load_stats()[1]
+            lengths = [len(bucket) for bucket in issuer.revocation.buckets]
+            stats.table_entries, stats.max_overflow = sum(lengths), max(lengths)
             report.days.append(stats)
 
         report.check_table_bytes_last_day = len(store.check_bytes(config.days - 1))

@@ -5,8 +5,8 @@ Both are hash tables with separate chaining. The check table holds one
 revocation table holds encrypted revocation documents in overflow lists and
 is only ever fetched whole (a bucket-level fetch would tell the publisher
 which slot a verifier cares about). Snapshots are immutable values; updates
-return new snapshots. Check tables and segments are kept in memory in their
-file form: the per-bucket counts and one string of digests.
+return new snapshots. All three are kept in memory in their file form; a
+revocation table's overflow lists are decoded only when read.
 
 Snapshot files are fixed-width binary. An envelope (magic, version, the
 SHA-256 of every byte after it, kind, day, the kind's fixed fields) precedes
@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import astuple, dataclass, replace
+from bisect import bisect_left, bisect_right
+from dataclasses import astuple, dataclass, field, replace
 from itertools import chain
 from typing import Iterable, Mapping, Optional
 
@@ -31,9 +32,9 @@ from .primitives import AuthFailure, check_bucket, index_from_ciphertext, open_s
 
 SNAPSHOT_VERSION = "2"
 
-# a revocation-table file holds only its entries, but a decoded table holds
-# one bucket per slot: this caps what a forged file can make a reader
-# allocate (8 MiB of slots), at 16 times the largest benchmarked table
+# table sizes d and c arrive in untrusted params documents and snapshot
+# envelopes: this caps them at 16 times the largest benchmarked table, and
+# with c the per-bucket lists that `build_check_table` allocates
 MAX_BUCKETS = 1 << 20
 
 _DIGEST_LEN = 32  # a check digest is an HMAC-SHA-256 output
@@ -205,8 +206,10 @@ class RevocationDocument:
     def __post_init__(self):
         if self.status not in REVOCATION_STATUSES:
             raise ValueError(f"unknown status {self.status!r}")
-        if self.sequence < 0 or self.effective_from < 0:
-            raise ValueError("sequence and effective_from must be non-negative")
+        record_int(self.effective_from, "effective_from", 0)
+        record_int(self.sequence, "sequence", 0)
+        if type(self.reason) is not str or not isinstance(self.constraints, (Mapping, type(None))):
+            raise ValueError("a document's reason must be text and its constraints a map or absent")
 
     def to_record(self) -> dict:
         rec = {
@@ -254,36 +257,80 @@ def revocation_associated_data(root: str, day: int, vc_id: bytes) -> bytes:
 
 
 @dataclass(frozen=True)
+class _Buckets:
+    """A revocation table's d overflow lists, read-only: item i is the tuple
+    of RevocationEntry in slot i, decoded from the body when read."""
+
+    table: "RevocationTableSnapshot"
+
+    def __len__(self) -> int:
+        return self.table.params.d
+
+    def __getitem__(self, index: int) -> tuple:
+        if not 0 <= index < self.table.params.d:
+            raise IndexError(f"bucket index {index} out of range [0, {self.table.params.d})")
+        body, slots, sizes = self.table.body, self.table.slots, self.table.sizes
+        lo, hi = bisect_left(slots, index), bisect_right(slots, index)
+        if lo == hi:
+            return ()
+        scheme_id, widths, head = _entry_format(body)
+        pos, entries = 1 + body[0] + sum(sizes[:lo]), []
+        for size in sizes[lo:hi]:
+            header = ahibe.EncapHeader(scheme_id, dict(zip(widths, head.unpack_from(body, pos)[1:-1])))
+            entries.append(RevocationEntry(header, body[pos + head.size : pos + size]))
+            pos += size
+        return tuple(entries)
+
+
+@dataclass(frozen=True)
 class RevocationTableSnapshot:
+    """A revocation table in its file form (`_entry_format`), empty by
+    default. `slots` and `sizes` give each entry's slot and byte size in body
+    order; sizes, not offsets, so that an insert only splices."""
+
     day: int
     params: TableParams
-    buckets: tuple  # d tuples of RevocationEntry
+    body: bytes = b""
+    slots: tuple = field(default=(), compare=False, repr=False)  # slots and sizes follow from the body
+    sizes: tuple = field(default=(), compare=False, repr=False)
 
-    @classmethod
-    def empty(cls, params: TableParams, day: int) -> "RevocationTableSnapshot":
-        return cls(day=day, params=params, buckets=((),) * params.d)
+    buckets = property(_Buckets)
 
     @classmethod
     def from_entries(cls, params: TableParams, day: int, entries: Iterable) -> "RevocationTableSnapshot":
         """Table of (index, entry) pairs, each overflow list in the given
-        order: built in per-slot lists and frozen once, so the cost is linear
-        in the entries plus one pass over the d slots."""
-        lists = {}
+        order: sorted stably by slot and packed once."""
+        entries = sorted(entries, key=lambda pair: pair[0])
+        if not entries:
+            return cls(day, params)
+        raw_id = entries[0][1].header.scheme_id.encode("utf-8")
+        prefix = bytes([len(raw_id)]) + raw_id
+        scheme_id, widths, head = _entry_format(prefix)
+        packed = []
         for index, entry in entries:
+            fields = entry.header.fields
             if not 0 <= index < params.d:
                 raise IndexError(f"bucket index {index} out of range [0, {params.d})")
-            lists.setdefault(index, []).append(entry)
-        buckets = [()] * params.d
-        for index, bucket in lists.items():
-            buckets[index] = tuple(bucket)
-        return cls(day=day, params=params, buckets=tuple(buckets))
+            if entry.header.scheme_id != scheme_id or {n: len(v) for n, v in fields.items()} != widths:
+                raise ValueError("entry header does not fit the table's header layout")
+            packed.append(head.pack(index, *(fields[name] for name in widths), len(entry.sealed_body)) + entry.sealed_body)
+        return cls(day, params, prefix + b"".join(packed), tuple(index for index, _ in entries), tuple(map(len, packed)))
 
     def insert(self, index: int, entry: RevocationEntry) -> "RevocationTableSnapshot":
-        """Append to the overflow list at `index`, returning a new snapshot."""
-        if not 0 <= index < self.params.d:
-            raise IndexError(f"bucket index {index} out of range [0, {self.params.d})")
-        buckets = self.buckets[:index] + (self.buckets[index] + (entry,),) + self.buckets[index + 1 :]
-        return replace(self, buckets=buckets)
+        """Append to the overflow list at `index`, returning a new snapshot:
+        the entry, packed and checked as a one-entry table, is spliced into
+        the body at the end of the slot's run."""
+        one = self.from_entries(self.params, self.day, [(index, entry)])
+        start, k = len(one.body) - one.sizes[0], bisect_right(self.slots, index)
+        if self.body and not self.body.startswith(one.body[:start]):
+            raise ValueError("entry header does not fit the table's header layout")
+        at, view = start + sum(self.sizes[:k]), memoryview(self.body or one.body[:start])  # a view's slices copy nothing
+        return replace(
+            self,
+            body=b"".join((view[:at], one.body[start:], view[at:])),
+            slots=self.slots[:k] + (index,) + self.slots[k:],
+            sizes=self.sizes[:k] + one.sizes + self.sizes[k:],
+        )
 
     def scan(self, index: int, dk: ahibe.DayKey, root: str, day: int, vc_id: bytes) -> list:
         """Try every entry in one overflow list against a day key.
@@ -293,8 +340,6 @@ class RevocationTableSnapshot:
         a well-formed document for the queried credential, means the
         publisher misbehaved.
         """
-        if not 0 <= index < self.params.d:
-            raise IndexError(f"bucket index {index} out of range [0, {self.params.d})")
         associated = revocation_associated_data(root, day, vc_id)
         found = []
         for entry in self.buckets[index]:
@@ -316,56 +361,39 @@ class RevocationTableSnapshot:
         found.sort(key=lambda doc: doc.sequence)
         return found
 
-    def entry_count(self) -> int:
-        return sum(len(b) for b in self.buckets)
-
-    def load_stats(self) -> tuple:
-        """(mean, max) overflow-list length."""
-        lengths = [len(b) for b in self.buckets]
-        return (sum(lengths) / len(lengths), max(lengths))
-
     def to_record(self) -> SnapshotRecord:
-        """Body: if there are entries, the scheme id once, then per entry in
-        slot order its index, the header field values (fixed widths, in the
-        order of `ahibe.header_layout`) and the length-prefixed sealed body."""
-        entries = [(index, entry) for index, bucket in enumerate(self.buckets) if bucket for entry in bucket]
-        parts = []
-        if entries:
-            scheme_id = entries[0][1].header.scheme_id
-            layout = ahibe.header_layout(scheme_id)
-            widths, head = dict(layout), _entry_head(layout)
-            raw_id = scheme_id.encode("utf-8")
-            parts.append(bytes([len(raw_id)]) + raw_id)
-            for index, entry in entries:
-                fields = entry.header.fields
-                if entry.header.scheme_id != scheme_id or {n: len(v) for n, v in fields.items()} != widths:
-                    raise ValueError("entry header does not fit the table's header layout")
-                parts += (head.pack(index, *(fields[name] for name in widths), len(entry.sealed_body)), entry.sealed_body)
-        return SnapshotRecord(self.day, (*astuple(self.params), len(entries)), b"".join(parts))
+        return SnapshotRecord(self.day, (*astuple(self.params), len(self.slots)), self.body)
 
     @classmethod
     def from_record(cls, rec: SnapshotRecord) -> "RevocationTableSnapshot":
+        """One pass that checks the slot order and range and that the entries
+        fill the body exactly; it decodes no entry."""
         *params, count = rec.fields
         params = TableParams(*params)
-        body, pos, entries = rec.body, 0, []
+        body, pos, slots, sizes = rec.body, 0, [], []
         if count:
+            head = _entry_format(body)[2]
+            slot_and_size = struct.Struct(f">I{head.size - 8}xI")  # skips the header field values
             pos = 1 + body[0]
-            scheme_id = body[1:pos].decode("utf-8")
-            layout = ahibe.header_layout(scheme_id)  # an unknown scheme is a SchemeError
-            names = [name for name, _ in layout]
-            head, last = _entry_head(layout), 0
             for _ in range(count):
-                index, *values, size = head.unpack_from(body, pos)
-                sealed = body[pos + head.size : pos + head.size + size]
+                slot, size = slot_and_size.unpack_from(body, pos)
+                if not (slots[-1] if slots else 0) <= slot < params.d:
+                    raise CorruptSnapshotError(f"entry index {slot} out of slot order or range")
+                slots.append(slot)
+                sizes.append(head.size + size)
                 pos += head.size + size
-                if not last <= index < params.d:
-                    raise CorruptSnapshotError(f"entry index {index} out of slot order or range")
-                last = index
-                header = ahibe.EncapHeader(scheme_id, dict(zip(names, values)))
-                entries.append((index, RevocationEntry(header, sealed)))
         if pos != len(body):
             raise CorruptSnapshotError("the entries do not fill the body exactly")
-        return cls.from_entries(params, rec.day, entries)
+        return cls(rec.day, params, body, tuple(slots), tuple(sizes))
+
+
+def _entry_format(body: bytes) -> tuple:
+    """(scheme id, header field widths by name, entry head) of a revocation
+    body that holds entries: the scheme id (u8 length, UTF-8), then per entry
+    its head (slot, header field values, sealed-body length) and sealed body."""
+    scheme_id = body[1 : 1 + body[0]].decode("utf-8")
+    widths = dict(ahibe.header_layout(scheme_id))  # an unknown scheme is a SchemeError
+    return scheme_id, widths, struct.Struct(">I" + "".join(f"{width}s" for width in widths.values()) + "I")
 
 
 # file envelope: magic and version, the SHA-256 of every byte after it, kind,
@@ -377,12 +405,6 @@ _COVERED = len(_MAGIC) + 32  # where the digested bytes begin
 # kind byte -> (snapshot class, number of fixed fields after the day)
 _KINDS = {1: (CheckTableSnapshot, 5), 2: (CheckSegment, 4), 3: (RevocationTableSnapshot, 5)}
 _KIND_BYTES = {cls: kind for kind, (cls, _) in _KINDS.items()}
-
-
-def _entry_head(layout) -> struct.Struct:
-    """A revocation entry's fixed part: slot, each header field value at its
-    width, sealed-body length."""
-    return struct.Struct(">I" + "".join(f"{width}s" for _, width in layout) + "I")
 
 
 def snapshot_to_bytes(snapshot) -> bytes:

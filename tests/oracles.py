@@ -19,7 +19,10 @@ fresh, seal a random probe and open it with the day key, whose bw2 points
 are decoded unchecked. The table oracles are the package's earlier table
 code: the version-1 snapshot codec (canonical JSON records with a SHA-256
 over their canonical re-encoding), the per-bucket digest tuples a check
-table once held, and the rollover build that inserts one document at a time.
+table once held, the revocation table as a d-tuple of per-slot entry tuples
+(built from per-slot lists, appended to by copying the tuple, scanned slot by
+slot and packed entry by entry into its record), and the rollover build that
+inserts one document at a time into it.
 The recording transport witnesses what a verifier asks of the publisher: it
 sees every request, answered or not, below the client.
 """
@@ -29,6 +32,8 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+import struct
+from dataclasses import astuple, dataclass, replace
 from itertools import chain
 
 from cryptography.hazmat.primitives import hashes
@@ -41,6 +46,7 @@ from revoca.encoding import CanonicalDecodeError, b64u_decode, canonical_decode,
 from revoca.pairing import (
     G1_GEN,
     G2_GEN,
+    PointDecodeError,
     final_exponentiation,
     g1_add,
     g1_from_bytes,
@@ -79,9 +85,13 @@ from revoca.tables import (
     CheckSegment,
     CheckTableSnapshot,
     CorruptSnapshotError,
+    IntegrityError,
+    RevocationDocument,
     RevocationEntry,
     RevocationTableSnapshot,
+    SnapshotRecord,
     TableParams,
+    revocation_associated_data,
 )
 
 _BLOCK = 64
@@ -449,20 +459,102 @@ def snapshot_from_bytes_v1(data: bytes):
         buckets = tuple(tuple(b64u_decode(d) for d in bucket) for bucket in rec["buckets"])
         return CheckTableSnapshot(rec["day"], params, *_counts_and_digests(buckets))
     if kind == "revocation":
-        buckets = tuple(
-            tuple(
-                RevocationEntry(ahibe.from_record(ahibe.EncapHeader, e["header"]), b64u_decode(e["body"]))
-                for e in bucket
-            )
-            for bucket in rec["buckets"]
-        )
-        return RevocationTableSnapshot(rec["day"], params, buckets)
+        entries = [
+            (index, RevocationEntry(ahibe.from_record(ahibe.EncapHeader, e["header"]), b64u_decode(e["body"])))
+            for index, bucket in enumerate(rec["buckets"])
+            for e in bucket
+        ]
+        return RevocationTableSnapshot.from_entries(params, rec["day"], entries)
     raise CorruptSnapshotError(f"unknown snapshot kind {kind!r}")
 
 
-def rebuild_revocation_oracle(state, day: int) -> RevocationTableSnapshot:
+# the tuple-of-buckets revocation table
+
+
+def _entry_head(layout) -> struct.Struct:
+    return struct.Struct(">I" + "".join(f"{width}s" for _, width in layout) + "I")
+
+
+@dataclass(frozen=True)
+class BucketTableOracle:
+    """A revocation table held as d tuples of RevocationEntry."""
+
+    day: int
+    params: TableParams
+    buckets: tuple
+
+    @classmethod
+    def empty(cls, params: TableParams, day: int) -> "BucketTableOracle":
+        return cls(day=day, params=params, buckets=((),) * params.d)
+
+    @classmethod
+    def from_entries(cls, params: TableParams, day: int, entries) -> "BucketTableOracle":
+        lists = {}
+        for index, entry in entries:
+            if not 0 <= index < params.d:
+                raise IndexError(f"bucket index {index} out of range [0, {params.d})")
+            lists.setdefault(index, []).append(entry)
+        buckets = [()] * params.d
+        for index, bucket in lists.items():
+            buckets[index] = tuple(bucket)
+        return cls(day=day, params=params, buckets=tuple(buckets))
+
+    def insert(self, index: int, entry: RevocationEntry) -> "BucketTableOracle":
+        if not 0 <= index < self.params.d:
+            raise IndexError(f"bucket index {index} out of range [0, {self.params.d})")
+        buckets = self.buckets[:index] + (self.buckets[index] + (entry,),) + self.buckets[index + 1 :]
+        return replace(self, buckets=buckets)
+
+    def scan(self, index: int, dk, root: str, day: int, vc_id: bytes) -> list:
+        if not 0 <= index < self.params.d:
+            raise IndexError(f"bucket index {index} out of range [0, {self.params.d})")
+        associated = revocation_associated_data(root, day, vc_id)
+        found = []
+        for entry in self.buckets[index]:
+            try:
+                key = ahibe.decap(dk, entry.header)
+            except PointDecodeError as exc:
+                raise IntegrityError(f"undecodable entry header in bucket {index}") from exc
+            try:
+                plaintext = open_sealed(entry.sealed_body, key, associated)
+            except AuthFailure:
+                continue
+            try:
+                doc = RevocationDocument.from_bytes(plaintext)
+            except (ValueError, KeyError, TypeError) as exc:
+                raise IntegrityError(f"undecodable revocation document in bucket {index}") from exc
+            if doc.vc_id != vc_id:
+                raise IntegrityError("revocation document names a different credential")
+            found.append(doc)
+        found.sort(key=lambda doc: doc.sequence)
+        return found
+
+    def to_record(self) -> SnapshotRecord:
+        entries = [(index, entry) for index, bucket in enumerate(self.buckets) if bucket for entry in bucket]
+        parts = []
+        if entries:
+            scheme_id = entries[0][1].header.scheme_id
+            layout = ahibe.header_layout(scheme_id)
+            widths, head = dict(layout), _entry_head(layout)
+            raw_id = scheme_id.encode("utf-8")
+            parts.append(bytes([len(raw_id)]) + raw_id)
+            for index, entry in entries:
+                fields = entry.header.fields
+                if entry.header.scheme_id != scheme_id or {n: len(v) for n, v in fields.items()} != widths:
+                    raise ValueError("entry header does not fit the table's header layout")
+                parts += (head.pack(index, *(fields[name] for name in widths), len(entry.sealed_body)), entry.sealed_body)
+        return SnapshotRecord(self.day, (*astuple(self.params), len(entries)), b"".join(parts))
+
+
+def load_stats(table) -> tuple:
+    """(mean, max) overflow-list length of a revocation table."""
+    lengths = [len(bucket) for bucket in table.buckets]
+    return sum(lengths) / len(lengths), max(lengths)
+
+
+def rebuild_revocation_oracle(state, day: int) -> BucketTableOracle:
     """The rollover build that copies the table once per inserted document."""
-    snapshot = RevocationTableSnapshot.empty(state.params, day)
+    snapshot = BucketTableOracle.empty(state.params, day)
     for vc_id, record in state.registry.items():
         if not record.active_on(day):
             continue

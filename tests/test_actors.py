@@ -113,7 +113,7 @@ class TestIssuer:
         check, revocation = actors.issuer_export_day(state)
         buckets = check_buckets(check)
         assert sum(map(len, buckets)) == 0 and len(buckets) == PARAMS.c
-        assert revocation.entry_count() == 0 and len(revocation.buckets) == PARAMS.d
+        assert revocation.slots == () and len(revocation.buckets) == PARAMS.d
         assert check.day == revocation.day == 7
 
     def test_issue_contract(self, world):
@@ -201,10 +201,10 @@ class TestIssuer:
         actors.issuer_revoke(state, credential.vc_id, doc, 0)
         actors.issuer_rollover(state, 2)
         check, revocation = actors.issuer_export_day(state)
-        assert sum(map(len, check_buckets(check))) == 1 and revocation.entry_count() == 1
+        assert sum(map(len, check_buckets(check))) == 1 and len(revocation.slots) == 1
         actors.issuer_rollover(state, 3)
         check, revocation = actors.issuer_export_day(state)
-        assert sum(map(len, check_buckets(check))) == 0 and revocation.entry_count() == 0
+        assert sum(map(len, check_buckets(check))) == 0 and revocation.slots == ()
 
     def test_state_round_trip(self, world, tmp_path):
         world.revoke(world.vcs[2])
@@ -491,7 +491,7 @@ def test_day_key_without_material_fails_the_key_probe(tmp_path, level):
 @pytest.mark.parametrize("level", ["test", "standard"])
 def test_table_smaller_than_the_document_is_unavailable(tmp_path, level):
     world = World(tmp_path, n=1, level=level, params=TableParams(d=4, c=64, sigma=4, min_anonymity=1))
-    small = RevocationTableSnapshot.empty(TableParams(d=1, c=64, sigma=4, min_anonymity=1), 100)
+    small = RevocationTableSnapshot(100, TableParams(d=1, c=64, sigma=4, min_anonymity=1))
     world.store.publish_revocation(small)
     credential = world.vcs[0]
     with pytest.raises(actors.SnapshotUnavailable):

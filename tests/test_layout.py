@@ -78,6 +78,8 @@ def _definitions(tree):
 def test_one_atomic_file_write():
     sites = _calls("replace", owner="os")
     assert len(sites) == 1, sites
+    # pathlib's whole-file writes would bypass it
+    assert _calls("write_bytes") + _calls("write_text") == []
 
 
 def test_one_slot_index_derivation():
@@ -134,8 +136,8 @@ def test_one_snapshot_codec():
 
 
 def test_rollover_builds_without_insert():
-    # RevocationTableSnapshot.insert copies all d slots; a rollover builds its
-    # table in one pass instead
+    # RevocationTableSnapshot.insert copies the whole body; a rollover builds
+    # its table in one pass instead
     sites = _enclosing_calls(SRC / "actors" / "issuer.py", {"insert"})
     assert "_rebuild_revocation" not in sites
     assert "issuer_revoke" in sites  # a same-day revoke still appends with insert

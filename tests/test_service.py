@@ -341,7 +341,7 @@ class TestClient:
         actors.issuer_revoke(issuer, world["credential"].vc_id, RevocationDocument(
             world["credential"].vc_id, "revoked", "", 11, 0), 11)
         actors.issuer_publish(issuer, store)  # a new body for day 11 is parsed again
-        assert client.fetch_revocation_table(11)[0].entry_count() == 1
+        assert len(client.fetch_revocation_table(11)[0].slots) == 1
         assert client.fetch_revocation_table(10)[0].day == 10
         assert len(parses) == 3
         for day in range(12, 12 + service.TABLE_CACHE_DAYS):  # the oldest day leaves the cache

@@ -2,19 +2,23 @@ import functools
 import hashlib
 import random
 import struct
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
+    BucketTableOracle,
     balls_into_bins_max,
     check_buckets,
+    load_stats,
     poisson_tail_bound,
     rebuild_revocation_oracle,
     snapshot_from_bytes_v1,
     snapshot_to_bytes_v1,
 )
 from revoca import actors, ahibe
+from revoca.encoding import canonical_encode
 from revoca.primitives import check_bucket, generate_signing_key, index_from_ciphertext, seal, signing_public_key
 from revoca.sim import CounterRng
 from revoca.tables import (
@@ -188,7 +192,7 @@ def _entry_for(mpp, msk, rb, root, day, vc_id, doc):
 class TestRevocationTable:
     def test_insert_and_chaining(self):
         params = TableParams(d=8, c=8, sigma=2, min_anonymity=1)
-        table = RevocationTableSnapshot.empty(params, day=1)
+        table = RevocationTableSnapshot(1, params)
         mpp, msk, rb = _transparent_world()
         doc = RevocationDocument(vc_id=rb(16), status="revoked", reason="", effective_from=1, sequence=0)
         e1 = _entry_for(mpp, msk, rb, "r", 1, doc.vc_id, doc)
@@ -205,7 +209,7 @@ class TestRevocationTable:
         params = TableParams(d=4, c=4, sigma=1, min_anonymity=1)
         mpp, msk, rb = _transparent_world()
         doc = RevocationDocument(vc_id=rb(16), status="revoked", reason="", effective_from=0, sequence=0)
-        table = RevocationTableSnapshot.empty(params, day=0)
+        table = RevocationTableSnapshot(0, params)
         history = []
         for i in range(10):
             history.append((table, hashlib.sha256(snapshot_to_bytes(table)).hexdigest()))
@@ -221,7 +225,7 @@ class TestRevocationTable:
         vc_id = rb(16)
         doc = RevocationDocument(vc_id=vc_id, status="suspended", reason="stress", effective_from=2, sequence=0)
         entry = _entry_for(mpp, msk, rb, "holder", 2, vc_id, doc)
-        table = RevocationTableSnapshot.empty(params, 2).insert(3, entry)
+        table = RevocationTableSnapshot(2, params).insert(3, entry)
         dk = ahibe.delegate(ahibe.extract(msk, "holder", rb), 2, rb)
         assert table.scan(0, dk, "holder", 2, vc_id) == []
         found = table.scan(3, dk, "holder", 2, vc_id)
@@ -230,7 +234,7 @@ class TestRevocationTable:
     def test_scan_skips_other_identities(self):
         params = TableParams(d=2, c=8, sigma=2, min_anonymity=1)
         mpp, msk, rb = _transparent_world()
-        table = RevocationTableSnapshot.empty(params, 5)
+        table = RevocationTableSnapshot(5, params)
         my_vc = rb(16)
         # same bucket, foreign entries: other roots, other vc ids, other days
         for root, day, vc in (("other-1", 5, rb(16)), ("other-2", 5, rb(16)), ("holder", 6, my_vc)):
@@ -243,7 +247,7 @@ class TestRevocationTable:
         params = TableParams(d=2, c=8, sigma=2, min_anonymity=1)
         mpp, msk, rb = _transparent_world()
         vc_id = rb(16)
-        table = RevocationTableSnapshot.empty(params, 1)
+        table = RevocationTableSnapshot(1, params)
         for sequence in (2, 0, 1):
             doc = RevocationDocument(vc_id=vc_id, status="revoked", reason=f"s{sequence}", effective_from=1, sequence=sequence)
             table = table.insert(0, _entry_for(mpp, msk, rb, "h", 1, vc_id, doc))
@@ -260,15 +264,31 @@ class TestRevocationTable:
         identity = ahibe.IdentityPath("h", 1)
         header, key = ahibe.encap(mpp, identity, rb)
         sealed = seal(key, wrong.to_bytes(), revocation_associated_data("h", 1, vc_id), rb)
-        table = RevocationTableSnapshot.empty(params, 1).insert(0, RevocationEntry(header, sealed))
+        table = RevocationTableSnapshot(1, params).insert(0, RevocationEntry(header, sealed))
         dk = ahibe.delegate(ahibe.extract(msk, "h", rb), 1, rb)
         with pytest.raises(IntegrityError):
             table.scan(0, dk, "h", 1, vc_id)
         # garbage plaintext in a well-sealed envelope is equally flagged
         sealed2 = seal(key, b"\x00 not a document", revocation_associated_data("h", 1, vc_id), rb)
-        table2 = RevocationTableSnapshot.empty(params, 1).insert(0, RevocationEntry(header, sealed2))
+        table2 = RevocationTableSnapshot(1, params).insert(0, RevocationEntry(header, sealed2))
         with pytest.raises(IntegrityError):
             table2.scan(0, dk, "h", 1, vc_id)
+
+    @pytest.mark.parametrize("name, value", [("reason", 5), ("sequence", True), ("effective_from", True), ("constraints", [1])])
+    def test_scan_flags_ill_typed_documents(self, name, value):
+        # a well-sealed document with one field of the wrong type is
+        # publisher misbehavior, not a document
+        params = TableParams(d=2, c=8, sigma=2, min_anonymity=1)
+        mpp, msk, rb = _transparent_world()
+        vc_id = rb(16)
+        rec = RevocationDocument(vc_id=vc_id, status="revoked", reason="", effective_from=1, sequence=0).to_record()
+        rec[name] = value
+        header, key = ahibe.encap(mpp, ahibe.IdentityPath("h", 1), rb)
+        sealed = seal(key, canonical_encode(rec), revocation_associated_data("h", 1, vc_id), rb)
+        table = RevocationTableSnapshot(1, params).insert(0, RevocationEntry(header, sealed))
+        dk = ahibe.delegate(ahibe.extract(msk, "h", rb), 1, rb)
+        with pytest.raises(IntegrityError):
+            table.scan(0, dk, "h", 1, vc_id)
 
     def test_load_factor_matches_poisson_oracle(self):
         params = TableParams(d=128, c=8, sigma=2, min_anonymity=1)
@@ -276,12 +296,12 @@ class TestRevocationTable:
         bound = poisson_tail_bound(lam=1.0, buckets=128 * 50, q=0.001)
         r = random.Random(8)
         for trial in range(50):
-            table = RevocationTableSnapshot.empty(params, 0)
+            table = RevocationTableSnapshot(0, params)
             for i in range(params.d):
                 index = index_from_ciphertext(r.randbytes(40), params.d)
                 doc = RevocationDocument(vc_id=r.randbytes(16), status="revoked", reason="", effective_from=0, sequence=0)
                 table = table.insert(index, _entry_for(mpp, msk, rb, "h", 0, doc.vc_id, doc))
-            mean, peak = table.load_stats()
+            mean, peak = load_stats(table)
             assert mean == params.d / params.d  # exactly n/m
             assert peak <= bound
 
@@ -289,13 +309,13 @@ class TestRevocationTable:
 class TestSnapshotFiles:
     def test_round_trip_empty_and_large(self, tmp_path):
         params = TableParams(d=16, c=16, sigma=4, min_anonymity=1)
-        empty = RevocationTableSnapshot.empty(params, 9)
+        empty = RevocationTableSnapshot(9, params)
         path = tmp_path / revocation_snapshot_filename(9)
         write_snapshot(empty, path)
         assert read_snapshot(path) == empty
 
         mpp, msk, rb = _transparent_world()
-        table = RevocationTableSnapshot.empty(params, 9)
+        table = RevocationTableSnapshot(9, params)
         for i in range(1000):
             doc = RevocationDocument(vc_id=rb(16), status="revoked", reason=str(i), effective_from=9, sequence=0)
             table = table.insert(i % params.d, _entry_for(mpp, msk, rb, f"h{i}", 9, doc.vc_id, doc))
@@ -388,7 +408,7 @@ def _random_tables(level: str, seed: int, entries: int) -> tuple:
     params = TableParams(d=r.choice((1, 5, 64)), c=16, sigma=r.choice((1, 4, 16)), min_anonymity=1)
     day = r.randrange(1000)
     check = build_check_table([rb(32) for _ in range(r.randrange(60))], params, day)
-    table = RevocationTableSnapshot.empty(params, day)
+    table = RevocationTableSnapshot(day, params)
     for _ in range(entries):
         doc = RevocationDocument(
             vc_id=rb(16), status=r.choice(REVOCATION_STATUSES), reason="r" * r.randrange(40),
@@ -404,10 +424,10 @@ class TestCodecV2:
         params = TableParams(d=8, c=4, sigma=2, min_anonymity=3)
         doc = RevocationDocument(vc_id=rb(16), status="revoked", reason="", effective_from=7, sequence=0)
         e1, e2, e3 = (_entry_for(mpp, msk, rb, "h", 7, doc.vc_id, doc) for _ in range(3))
-        table = RevocationTableSnapshot.empty(params, 7).insert(5, e1).insert(2, e2).insert(5, e3)
+        table = RevocationTableSnapshot(7, params).insert(5, e1).insert(2, e2).insert(5, e3)
         body = _scheme("transparent-v1") + _entry_bytes(2, e2) + _entry_bytes(5, e1) + _entry_bytes(5, e3)
         assert snapshot_to_bytes(table) == _file(3, 7, (8, 4, 2, 3, 3), body)
-        assert snapshot_to_bytes(RevocationTableSnapshot.empty(params, 7)) == _file(3, 7, (8, 4, 2, 3, 0), b"")
+        assert snapshot_to_bytes(RevocationTableSnapshot(7, params)) == _file(3, 7, (8, 4, 2, 3, 0), b"")
 
         check = build_check_table([b"\x00" * 7 + bytes([i]) + rb(24) for i in (1, 2, 2, 3)], params, 7)
         buckets = check_buckets(check)
@@ -436,7 +456,7 @@ class TestCodecV2:
         r = random.Random(5)
         rb = lambda n: r.randbytes(n)  # noqa: E731
         identity = ahibe.IdentityPath("h", 9)
-        keys, table = [], RevocationTableSnapshot.empty(TableParams(d=4, c=4, sigma=1, min_anonymity=1), 9)
+        keys, table = [], RevocationTableSnapshot(9, TableParams(d=4, c=4, sigma=1, min_anonymity=1))
         for index in (3, 0, 3):
             header, key = ahibe.encap(mpp, identity, rb)
             keys.append(key)
@@ -468,9 +488,65 @@ class TestCodecV2:
             states.append(issuer)
         expected = rebuild_revocation_oracle(states[1], 1)
         actors.issuer_rollover(states[0], 1)
-        assert states[0].revocation == expected
-        assert snapshot_to_bytes(states[0].revocation) == snapshot_to_bytes(expected)
-        assert expected.entry_count() > 0
+        assert states[0].revocation.to_record() == expected.to_record()
+        assert tuple(states[0].revocation.buckets) == expected.buckets
+        assert states[0].revocation.slots
+
+
+@functools.lru_cache(maxsize=None)
+def _day_nine_entries(level: str) -> tuple:
+    """((root, vc id) of each credential, entries sealed for them on day 9,
+    each root's day-9 key); the bw2 pool is kept small, as its scans pair."""
+    mpp, msk = _keys(level)
+    r = random.Random(f"entries/{level}")
+    rb = lambda n: r.randbytes(n)  # noqa: E731
+    credentials = [("h0", rb(16)), ("h1", rb(16)), ("h0", rb(16))][: 2 if level == "standard" else 3]
+    entries = []
+    for i in range(2 if level == "standard" else 8):
+        root, vc_id = credentials[i % len(credentials)]
+        doc = RevocationDocument(vc_id, REVOCATION_STATUSES[i % 3], f"r{i}", 9, r.randrange(4))
+        entries.append(_entry_for(mpp, msk, rb, root, 9, vc_id, doc))
+    day_keys = {root: ahibe.delegate(ahibe.extract(msk, root, rb), 9, rb) for root in ("h0", "h1")}
+    return tuple(credentials), tuple(entries), day_keys
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_table_matches_tuple_of_buckets_oracle(data):
+    """Random insert sequences and one-pass builds, on both schemes, give the
+    file bytes, overflow lists and scans of the tuple-of-buckets table."""
+    level = data.draw(st.sampled_from(SCHEMES))
+    credentials, pool, day_keys = _day_nine_entries(level)
+    params = TableParams(d=data.draw(st.integers(1, 6)), c=4, sigma=1, min_anonymity=1)
+    placed = data.draw(st.lists(st.tuples(st.integers(0, params.d - 1), st.sampled_from(pool)), max_size=len(pool)))
+    if data.draw(st.booleans()):
+        table = RevocationTableSnapshot.from_entries(params, 9, placed)
+        oracle = BucketTableOracle.from_entries(params, 9, placed)
+    else:
+        table, oracle = RevocationTableSnapshot(9, params), BucketTableOracle.empty(params, 9)
+        for index, entry in placed:
+            table, oracle = table.insert(index, entry), oracle.insert(index, entry)
+    rec = oracle.to_record()
+    assert snapshot_to_bytes(table) == _file(3, 9, rec.fields, rec.body)
+    assert tuple(table.buckets) == oracle.buckets
+    for root, vc_id in credentials:
+        for index in range(params.d):
+            assert table.scan(index, day_keys[root], root, 9, vc_id) == oracle.scan(index, day_keys[root], root, 9, vc_id)
+
+
+def test_decoding_a_one_entry_table_at_the_slot_cap_allocates_no_slot_array():
+    mpp, msk, rb = _transparent_world()
+    doc = RevocationDocument(vc_id=rb(16), status="revoked", reason="", effective_from=1, sequence=0)
+    entry = _entry_for(mpp, msk, rb, "h", 1, doc.vc_id, doc)
+    raw = _file(3, 1, (MAX_BUCKETS, 4, 1, 1, 1), _scheme("transparent-v1") + _entry_bytes(MAX_BUCKETS - 1, entry))
+    tracemalloc.start()
+    try:
+        table = snapshot_from_bytes(raw)
+        assert table.buckets[MAX_BUCKETS - 1] == (entry,) and table.buckets[0] == ()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def _revocation_case_bodies():
@@ -561,7 +637,7 @@ def test_decoder_raises_only_corrupt_snapshot_error(data):
     """Random byte flips, truncations and splices, with the digest left as it
     is or recomputed over the mutated bytes: the decoder either raises
     CorruptSnapshotError or returns a snapshot that encodes to exactly those
-    bytes."""
+    bytes, and whose every revocation-table slot decodes."""
     samples = _samples()
     raw = bytearray(data.draw(st.sampled_from(samples)))
     mutation = data.draw(st.sampled_from(("flip", "truncate", "splice")))
@@ -581,3 +657,5 @@ def test_decoder_raises_only_corrupt_snapshot_error(data):
     except CorruptSnapshotError:
         return
     assert snapshot_to_bytes(snapshot) == raw
+    if isinstance(snapshot, RevocationTableSnapshot):  # every overflow list materialises
+        assert sum(map(len, snapshot.buckets)) == len(snapshot.slots)
