@@ -6,18 +6,10 @@ from dataclasses import dataclass, replace
 from typing import Mapping, Tuple
 
 from .. import ahibe
-from ..encoding import CanonicalDecodeError, b64u_decode, canonical_decode, canonical_encode, decode_untrusted, write_atomic
+from ..encoding import b64u_decode, canonical_decode, canonical_encode, decode_untrusted, record_field, write_atomic
 from ..primitives import sign, vc_id_from_hex, vc_id_hex, verify
 
 NONCE_LEN = 16
-
-
-def _typed(rec: Mapping, key: str, kind: type):
-    """`rec[key]`, which must be exactly a `kind` (so a bool is not an int)."""
-    value = rec[key]
-    if type(value) is not kind:
-        raise CanonicalDecodeError(f"{key} must be {kind.__name__}, got {type(value).__name__}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -61,16 +53,16 @@ class VerifiableCredential:
 
     @classmethod
     def from_record(cls, rec: Mapping) -> "VerifiableCredential":
-        claims = _typed(rec, "claims", dict)
+        claims = record_field(rec["claims"], "claims", dict)
         canonical_encode(claims)  # floats and nulls have no canonical form to sign
         return cls(
             vc_id=vc_id_from_hex(rec["vc_id"]),
-            root=_typed(rec, "root", str),
-            issued_day=_typed(rec, "issued_day", int),
-            expiry_day=_typed(rec, "expiry_day", int),
+            root=record_field(rec["root"], "root", str),
+            issued_day=record_field(rec["issued_day"], "issued_day"),
+            expiry_day=record_field(rec["expiry_day"], "expiry_day"),
             claims=claims,
             pop_public_key=b64u_decode(rec["pop_public_key"]),
-            issuer_id=_typed(rec, "issuer_id", str),
+            issuer_id=record_field(rec["issuer_id"], "issuer_id", str),
             issuer_signature=b64u_decode(rec["issuer_signature"]),
         )
 
@@ -113,7 +105,7 @@ class TemporalAuthorization:
     @classmethod
     def from_record(cls, rec: Mapping) -> "TemporalAuthorization":
         return cls(
-            day=_typed(rec, "day", int),
+            day=record_field(rec["day"], "day"),
             day_token=b64u_decode(rec["day_token"]),
             day_key=ahibe.from_record(ahibe.DayKey, rec["day_key"]),
         )

@@ -6,6 +6,9 @@ export. The revocation table grows incrementally within a day (same-day
 revocations are visible as soon as the day is re-published) and is rebuilt
 from scratch at every rollover, re-encrypting each active document under the
 new day's identities at freshly derived indices.
+
+Only `issuer_publish` and `save_issuer_state` write. A caller commits a change
+by saving the state and then publishing its day, one day at a time.
 """
 
 from __future__ import annotations
@@ -202,16 +205,13 @@ def _rebuild_revocation(state: IssuerState, day: int) -> RevocationTableSnapshot
     return RevocationTableSnapshot.from_entries(state.params, day, entries)
 
 
-def issuer_rollover(state: IssuerState, new_day: int, store=None) -> IssuerState:
-    """Advance to `new_day`, re-encrypting active revocations for each
-    intermediate day in order; publishes each day when a store is given."""
+def issuer_rollover(state: IssuerState, new_day: int) -> IssuerState:
+    """Advance to `new_day` and rebuild its revocation table once, re-encrypting
+    every active revocation. The caller saves the state, then publishes."""
     if new_day <= state.current_day:
         raise ValueError(f"rollover day must exceed the current day {state.current_day}")
-    for day in range(state.current_day + 1, new_day + 1):
-        state.current_day = day
-        state.revocation = _rebuild_revocation(state, day)
-        if store is not None:
-            issuer_publish(state, store)
+    state.current_day = new_day
+    state.revocation = _rebuild_revocation(state, new_day)
     return state
 
 
@@ -232,7 +232,8 @@ def issuer_publish(state: IssuerState, store) -> None:
     store.publish_revocation(revocation)
 
 
-# state persistence: atomic rewrite, recoverable after a crash mid-rollover
+# state persistence: saved before its day is published, so a failure leaves
+# the saved state ahead of the publication, never behind it
 
 # version 2 stores the revocation table as snapshot-v2 bytes; there is no
 # read path for version 1

@@ -91,8 +91,11 @@ def _load_issuer(args):
     return state_dir, actors.load_issuer_state(state_dir / "issuer.state")
 
 
-def _save_issuer(state_dir: Path, state) -> None:
+def _commit(state_dir: Path, state) -> None:
+    """Save `issuer.state`, then publish its day: after a failure the next
+    commit publishes every revocation the saved state holds."""
     actors.save_issuer_state(state, state_dir / "issuer.state")
+    actors.issuer_publish(state, service.PublicationStore(_public_dir(state_dir)))
 
 
 def _table_client(args) -> service.TableClient:
@@ -144,12 +147,9 @@ def cmd_issuer_init(args) -> int:
     state = actors.issuer_init(params, day=args.day, mpp=mpp, issuer_id=args.issuer_id)
     epoch = args.epoch if args.epoch is not None else int(time.time()) - args.day * args.granularity
     document = service.make_params_document(mpp, params, epoch, args.granularity, args.issuer_id, state.signing_key)
-    store = service.PublicationStore(_public_dir(state_dir))
-    store.write_params(document)
-    actors.issuer_publish(state, store)
-    _save_issuer(state_dir, state)
-    trust = actors.TrustStore({args.issuer_id: state.public_key})
-    trust.save(state_dir / "trust.store")
+    service.PublicationStore(_public_dir(state_dir)).write_params(document)
+    _commit(state_dir, state)
+    actors.TrustStore({args.issuer_id: state.public_key}).save(state_dir / "trust.store")
     print(json.dumps({"issuer_id": args.issuer_id, "day": args.day, "public_dir": str(_public_dir(state_dir))}))
     return 0
 
@@ -166,10 +166,8 @@ def cmd_issuer_issue(args) -> int:
         bundle["pop_signing_key"] = pop_signing
     credential, seed = actors.issuer_issue(state, args.root, claims, args.expiry_day, pop_public)
     bundle.update({"credential": credential.to_record(), "seed": seed})
+    _commit(state_dir, state)
     write_atomic(args.out, canonical_encode(bundle), private=True)
-    store = service.PublicationStore(_public_dir(state_dir))
-    actors.issuer_publish(state, store)
-    _save_issuer(state_dir, state)
     print(json.dumps({"vc_id": vc_id_hex(credential.vc_id), "bundle": args.out}))
     return 0
 
@@ -190,9 +188,7 @@ def cmd_issuer_revoke(args) -> int:
         constraints=json.loads(args.constraints) if args.constraints else None,
     )
     actors.issuer_revoke(state, vc_id, document, state.current_day)
-    store = service.PublicationStore(_public_dir(state_dir))
-    actors.issuer_publish(state, store)
-    _save_issuer(state_dir, state)
+    _commit(state_dir, state)
     print(json.dumps({"vc_id": args.vc_id, "day": state.current_day, "sequence": sequence}))
     return 0
 
@@ -201,15 +197,14 @@ def cmd_issuer_rollover(args) -> int:
     state_dir, state = _load_issuer(args)
     if args.to_day is None:
         raise CliError("give --to-day")
-    # "+k" advances relative to the current day; a bare integer is absolute
-    if args.to_day.startswith("+"):
-        target = state.current_day + int(args.to_day[1:])
-    else:
-        target = int(args.to_day)
-    store = service.PublicationStore(_public_dir(state_dir))
-    actors.issuer_rollover(state, target, store=store)
-    store.prune(state.current_day, args.retention)
-    _save_issuer(state_dir, state)
+    # "+k" counts from the saved current day; a bare integer is absolute
+    target = int(args.to_day) + (state.current_day if args.to_day.startswith("+") else 0)
+    if target <= state.current_day:
+        raise CliError(f"rollover day must exceed the current day {state.current_day}")
+    for day in range(state.current_day + 1, target + 1):
+        actors.issuer_rollover(state, day)
+        _commit(state_dir, state)
+    service.PublicationStore(_public_dir(state_dir)).prune(state.current_day, args.retention)
     print(json.dumps({"current_day": state.current_day}))
     return 0
 

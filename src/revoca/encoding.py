@@ -91,12 +91,15 @@ def canonical_decode(data: bytes) -> Any:
         raise CanonicalDecodeError(str(exc)) from exc
 
 
-def record_int(value, what: str, minimum: int | None = None) -> int:
-    """An integer field of a decoded record: an int that is not a bool, and
-    at least `minimum` when one is given."""
-    if type(value) is not int or minimum is not None and value < minimum:
+_KIND_NAMES = {int: "an integer", str: "text", dict: "a map"}
+
+
+def record_field(value, what: str, kind: type = int, minimum: int | None = None):
+    """A field of a decoded record: exactly a `kind` (so a bool is not an
+    int), and at least `minimum` when one is given."""
+    if type(value) is not kind or minimum is not None and value < minimum:
         bound = "" if minimum is None else f" of at least {minimum}"
-        raise CanonicalDecodeError(f"{what} must be an integer{bound}, got {value!r}")
+        raise CanonicalDecodeError(f"{what} must be {_KIND_NAMES[kind]}{bound}, got {value!r}")
     return value
 
 

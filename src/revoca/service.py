@@ -24,7 +24,6 @@ fails the stat before any lookup, and superseded entries age out.
 from __future__ import annotations
 
 import functools
-import hashlib
 import http.client
 import re
 import threading
@@ -36,7 +35,7 @@ from pathlib import Path
 from typing import Optional, Tuple
 
 from . import ahibe
-from .encoding import CanonicalDecodeError, b64u_decode, canonical_decode, canonical_encode, decode_untrusted, record_int, write_atomic
+from .encoding import b64u_decode, canonical_decode, canonical_encode, decode_untrusted, record_field, write_atomic
 from .primitives import sign, verify
 from .tables import (
     CheckSegment,
@@ -48,6 +47,7 @@ from .tables import (
     read_check_sigma,
     read_snapshot,
     revocation_snapshot_filename,
+    snapshot_digest,
     snapshot_from_bytes,
     snapshot_to_bytes,
     write_snapshot,
@@ -118,14 +118,12 @@ class PublicParamsDocument:
 
     @classmethod
     def from_record(cls, rec) -> "PublicParamsDocument":
-        if type(rec["issuer_id"]) is not str:
-            raise CanonicalDecodeError(f"issuer_id must be text, got {rec['issuer_id']!r}")
         return cls(
             mpp=ahibe.from_record(ahibe.MasterPublicParams, canonical_decode(b64u_decode(rec["mpp"]))),
             table_params=TableParams.from_record(rec["table_params"]),
-            epoch=record_int(rec["epoch"], "epoch"),
-            granularity_seconds=record_int(rec["granularity_seconds"], "granularity_seconds", 1),
-            issuer_id=rec["issuer_id"],
+            epoch=record_field(rec["epoch"], "epoch"),
+            granularity_seconds=record_field(rec["granularity_seconds"], "granularity_seconds", minimum=1),
+            issuer_id=record_field(rec["issuer_id"], "issuer_id", str),
             signature=b64u_decode(rec["signature"]),
         )
 
@@ -233,8 +231,10 @@ def _read(path: Path, reason: str) -> bytes:
         raise ResourceNotFound(reason) from None
 
 
-_SEGMENT_RE = re.compile(r"/v1/days/(\d+)/check/segments/(\d+)")
-_REVOCATION_RE = re.compile(r"/v1/days/(\d+)/revocation")
+# at most 20 ASCII digits, as many as a u64 day has: any other number is a 404
+_NUMBER = r"([0-9]{1,20})"
+_SEGMENT_RE = re.compile(rf"/v1/days/{_NUMBER}/check/segments/{_NUMBER}")
+_REVOCATION_RE = re.compile(rf"/v1/days/{_NUMBER}/revocation")
 
 
 def resolve_path(store: PublicationStore, path: str) -> Tuple[int, Optional[str], bytes]:
@@ -294,8 +294,8 @@ class TableClient:
     def __init__(self, transport):
         self.transport = transport
         self._params: Optional[PublicParamsDocument] = None
-        # day -> (body SHA-256, parsed table), least recently used first; a
-        # newer body for a day replaces the older one
+        # day -> (envelope digest, parsed table), least recently used first;
+        # a newer body for a day replaces the older one
         self._tables = OrderedDict()
 
     def _get(self, path: str) -> bytes:
@@ -323,12 +323,11 @@ class TableClient:
 
     def fetch_revocation_table(self, day: int) -> Tuple[RevocationTableSnapshot, int]:
         body = self._get(f"/v1/days/{day}/revocation")
-        # parsing is cached by content; the transfer is still made and counted
-        digest = hashlib.sha256(body).digest()
-        cached = self._tables.pop(day, None)
-        if cached is not None and cached[0] == digest:
-            table = cached[1]
-        else:
+        # parsing is cached by the envelope digest, verified when the cached
+        # table was parsed; the transfer is still made and counted
+        digest = snapshot_digest(body)
+        cached, table = self._tables.pop(day, (None, None))
+        if cached != digest:
             table = snapshot_from_bytes(body)
             if not isinstance(table, RevocationTableSnapshot) or table.day != day:
                 raise CorruptSnapshotError("response is not the requested revocation table")

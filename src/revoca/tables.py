@@ -26,7 +26,7 @@ from itertools import chain
 from typing import Iterable, Mapping, Optional
 
 from . import ahibe
-from .encoding import canonical_decode, canonical_encode, record_int, write_atomic
+from .encoding import canonical_decode, canonical_encode, record_field, write_atomic
 from .pairing import PointDecodeError
 from .primitives import AuthFailure, check_bucket, index_from_ciphertext, open_sealed, vc_id_from_hex, vc_id_hex
 
@@ -84,7 +84,7 @@ class TableParams:
 
     @classmethod
     def from_record(cls, rec: Mapping) -> "TableParams":
-        return cls(**{name: record_int(rec[name], name, 1) for name in ("d", "c", "sigma", "min_anonymity")})
+        return cls(**{name: record_field(rec[name], name, minimum=1) for name in ("d", "c", "sigma", "min_anonymity")})
 
 
 def segment_for_digest(digest: bytes, params: TableParams) -> int:
@@ -206,10 +206,12 @@ class RevocationDocument:
     def __post_init__(self):
         if self.status not in REVOCATION_STATUSES:
             raise ValueError(f"unknown status {self.status!r}")
-        record_int(self.effective_from, "effective_from", 0)
-        record_int(self.sequence, "sequence", 0)
+        record_field(self.effective_from, "effective_from", minimum=0)
+        record_field(self.sequence, "sequence", minimum=0)
         if type(self.reason) is not str or not isinstance(self.constraints, (Mapping, type(None))):
             raise ValueError("a document's reason must be text and its constraints a map or absent")
+        if self.constraints is not None:
+            self.to_bytes()  # constraints holding a float or a null have no canonical form to seal
 
     def to_record(self) -> dict:
         rec = {
@@ -427,11 +429,16 @@ def _envelope(data: bytes) -> tuple:
     return cls, day, tuple(fields), _COVERED + head.size
 
 
+def snapshot_digest(data: bytes) -> bytes:
+    """The content digest the envelope of `data` claims, unchecked."""
+    return data[len(_MAGIC) : _COVERED]
+
+
 def snapshot_from_bytes(data: bytes):
     """Inverse of `snapshot_to_bytes`. The digest is checked over the bytes
     as read; any malformed input raises CorruptSnapshotError."""
     cls, day, fields, start = _envelope(data)
-    if hashlib.sha256(memoryview(data)[_COVERED:]).digest() != data[len(_MAGIC) : _COVERED]:
+    if hashlib.sha256(memoryview(data)[_COVERED:]).digest() != snapshot_digest(data):
         raise CorruptSnapshotError("content digest mismatch")
     try:
         return cls.from_record(SnapshotRecord(day, fields, data[start:]))

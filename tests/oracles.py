@@ -22,7 +22,9 @@ over their canonical re-encoding), the per-bucket digest tuples a check
 table once held, the revocation table as a d-tuple of per-slot entry tuples
 (built from per-slot lists, appended to by copying the tuple, scanned slot by
 slot and packed entry by entry into its record), and the rollover build that
-inserts one document at a time into it.
+inserts one document at a time into it. The multi-day rollover is the
+former `issuer_rollover(state, day, store=store)`, which rebuilt and
+published every intermediate day itself.
 The recording transport witnesses what a verifier asks of the publisher: it
 sees every request, answered or not, below the client.
 """
@@ -40,7 +42,7 @@ from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
 from revoca import ahibe
-from revoca.actors.issuer import _build_entry
+from revoca.actors.issuer import _build_entry, issuer_publish, issuer_rollover
 from revoca.ahibe import pairing_scheme
 from revoca.encoding import CanonicalDecodeError, b64u_decode, canonical_decode, canonical_encode
 from revoca.pairing import (
@@ -564,6 +566,13 @@ def rebuild_revocation_oracle(state, day: int) -> BucketTableOracle:
             index, entry = _build_entry(state, record, vc_id, registered.document, day)
             snapshot = snapshot.insert(index, entry)
     return snapshot
+
+
+def rollover_publishing_each_day(state, store, to_day: int) -> None:
+    """Roll over one day at a time to `to_day`, publishing each day."""
+    for day in range(state.current_day + 1, to_day + 1):
+        issuer_rollover(state, day)
+        issuer_publish(state, store)
 
 
 class RecordingTransport:

@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from oracles import RecordingTransport, hkdf_oracle, hmac_sha256_oracle, load_stats, poisson_tail_bound
+from oracles import RecordingTransport, hkdf_oracle, hmac_sha256_oracle, load_stats, poisson_tail_bound, rollover_publishing_each_day
 from revoca import actors, ahibe, service
 from revoca.primitives import (
     AuthFailure,
@@ -135,8 +135,8 @@ def test_criterion_02_attack1_cross_day_decryption(tmp_path):
     for credential in world.vcs:
         world.revoke(credential)
     actors.issuer_publish(world.issuer, world.store)          # day 0 tables (T-1)
-    actors.issuer_rollover(world.issuer, 1, store=world.store)  # day 1 (T)
-    actors.issuer_rollover(world.issuer, 2, store=world.store)  # day 2 (T+1)
+    rollover_publishing_each_day(world.issuer, world.store, 1)  # day 1 (T)
+    rollover_publishing_each_day(world.issuer, world.store, 2)  # day 2 (T+1)
 
     target = world.vcs[0]
     record = world.wallet.records[target.vc_id]
@@ -298,10 +298,10 @@ def test_criterion_08_time_flexibility(tmp_path):
     params = TableParams(d=64, c=64, sigma=4, min_anonymity=1)
     world = MiniWorld(tmp_path, n_vcs=3, params=params, day=0)
     credential = world.vcs[0]
-    actors.issuer_rollover(world.issuer, 3, store=world.store)
+    rollover_publishing_each_day(world.issuer, world.store, 3)
     world.revoke(credential)  # published on day 3
     actors.issuer_publish(world.issuer, world.store)
-    actors.issuer_rollover(world.issuer, 6, store=world.store)
+    rollover_publishing_each_day(world.issuer, world.store, 6)
 
     presentation = world.present(credential, [2, 3, 5])
     result = actors.verifier_check(presentation, world.trust, world.client(), current_day=6, rng=world.rng)
@@ -312,7 +312,7 @@ def test_criterion_08_time_flexibility(tmp_path):
     future = world.present(credential, [8])
     with pytest.raises(actors.DeferredFutureDay):
         actors.verifier_check(future, world.trust, world.client(), current_day=6, rng=world.rng)
-    actors.issuer_rollover(world.issuer, 8, store=world.store)
+    rollover_publishing_each_day(world.issuer, world.store, 8)
     result = actors.verifier_check(future, world.trust, world.client(), current_day=8, rng=world.rng)
     assert result.statuses[8]
     _ok(8, "past-day auths verify against archives (revocation visible exactly from its publication day); future-day auth defers, then verifies on arrival")

@@ -9,7 +9,7 @@ import stat
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import check_buckets
+from oracles import check_buckets, rollover_publishing_each_day
 from revoca import actors, ahibe, service
 from revoca.encoding import CanonicalDecodeError, canonical_decode, canonical_encode
 from revoca.primitives import (
@@ -167,10 +167,11 @@ class TestIssuer:
     def test_rollover_contract(self, world):
         credential = world.vcs[0]
         world.revoke(credential)
-        actors.issuer_rollover(world.issuer, 102, store=world.store)
+        actors.issuer_rollover(world.issuer, 102)
         assert world.issuer.current_day == 102
-        # snapshots exist for every intermediate day
-        assert world.store.check_path(101).exists() and world.store.revocation_path(101).exists()
+        # a rollover publishes nothing: the caller publishes each day it commits
+        assert world.store.archived_days() == [100] and not world.store.check_path(102).exists()
+        actors.issuer_publish(world.issuer, world.store)
         presentation = world.present(credential, [102])
         result = world.check(presentation, 102)
         assert result.statuses[102]
@@ -181,7 +182,7 @@ class TestIssuer:
         credential = world.vcs[0]
         record = world.wallet.records[credential.vc_id]
         world.revoke(credential)
-        actors.issuer_rollover(world.issuer, 101, store=world.store)
+        rollover_publishing_each_day(world.issuer, world.store, 101)
         old_key = ahibe.delegate(record.holder_key, 100, world.rng)
         new_table = world.issuer.revocation
         assert new_table.day == 101
@@ -352,13 +353,13 @@ class TestVerifier:
         presentation = world.present(credential, [101])
         with pytest.raises(actors.DeferredFutureDay):
             world.check(presentation, 100)
-        actors.issuer_rollover(world.issuer, 101, store=world.store)
+        rollover_publishing_each_day(world.issuer, world.store, 101)
         result = world.check(presentation, 101)
         assert result.statuses == {101: ()}
 
     def test_missing_archive_is_snapshot_unavailable(self, world):
         credential = world.vcs[0]
-        actors.issuer_rollover(world.issuer, 140, store=world.store)
+        rollover_publishing_each_day(world.issuer, world.store, 140)
         world.store.prune(140, retention_days=10)
         presentation = world.present(credential, [105])
         with pytest.raises(actors.SnapshotUnavailable):
@@ -375,7 +376,7 @@ class TestVerifier:
         schedule = random.Random(77)
         revoked_on = {}
         for day in range(101, 106):
-            actors.issuer_rollover(world.issuer, day, store=world.store)
+            rollover_publishing_each_day(world.issuer, world.store, day)
             for vc in world.vcs:
                 if vc.vc_id not in revoked_on and schedule.random() < 0.2:
                     world.revoke(vc, sequence=0)

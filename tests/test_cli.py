@@ -3,7 +3,9 @@ import stat
 
 import pytest
 
+from revoca import actors, service
 from revoca.cli import main
+from revoca.tables import read_snapshot
 
 
 def run_cli(*argv, capsys=None):
@@ -129,6 +131,93 @@ def test_rollover_needs_to_day(setup_world, capsys):
     with pytest.raises(SystemExit) as excinfo:  # --to-day +K is the one way to advance K days
         main(["issuer", "rollover", "--state", str(setup_world["state"]), "--days", "1"])
     assert excinfo.value.code == 2
+
+
+def _disk_full(*args):
+    raise OSError(28, "No space left on device")
+
+
+def _verdict(world, capsys, day):
+    """The verifier's verdict on `day` for a presentation of that day."""
+    pres = _present(world, capsys, days=str(day), out=f"p{day}.pres")
+    code, out, _ = run_cli(
+        "verifier", "check", "--presentation", str(pres), "--trust", str(world["state"] / "trust.store"),
+        "--state-dir", str(world["state"]), "--current-day", str(day),
+        capsys=capsys,
+    )
+    assert code == 0
+    return json.loads(out)["statuses"][str(day)]["verdict"]
+
+
+def _revoke(world, capsys, vc_id=None):
+    return run_cli("issuer", "revoke", "--state", str(world["state"]), "--vc-id", vc_id or world["vc_id"], capsys=capsys)[0]
+
+
+def test_failed_state_write_publishes_nothing(setup_world, capsys, monkeypatch):
+    # the state is saved before the day is published: when the save fails,
+    # the published table and the saved state are both as they were
+    state = setup_world["state"]
+    files = (state / "issuer.state", state / "public" / "revocation-50.snap", state / "public" / "check-50.snap")
+    before = [path.read_bytes() for path in files]
+    with monkeypatch.context() as patch:
+        patch.setattr(actors, "save_issuer_state", _disk_full)
+        assert _revoke(setup_world, capsys) == 1
+    assert [path.read_bytes() for path in files] == before
+    assert _verdict(setup_world, capsys, 50) == "no-revocation-found"
+    assert _revoke(setup_world, capsys) == 0  # the rerun publishes the revocation
+    assert _verdict(setup_world, capsys, 50) == "revoked"
+
+
+def test_failed_publish_is_caught_up_by_the_next_commit(setup_world, capsys, monkeypatch):
+    # a publish that fails after the state write loses nothing: the next
+    # commit publishes every revocation the saved state holds
+    state = setup_world["state"]
+    code, out, _ = run_cli(
+        "issuer", "issue", "--state", str(state), "--root", "holder-9", "--expiry-day", "400",
+        "--out", str(setup_world["tmp"] / "other.cred"),
+        capsys=capsys,
+    )
+    assert code == 0
+    other = json.loads(out)["vc_id"]
+    with monkeypatch.context() as patch:
+        patch.setattr(service.PublicationStore, "publish_revocation", _disk_full)
+        assert _revoke(setup_world, capsys) == 1
+    assert _revoke(setup_world, capsys, other) == 0
+    assert len(read_snapshot(state / "public" / "revocation-50.snap").slots) == 2
+    assert _verdict(setup_world, capsys, 50) == "revoked"
+
+
+def test_failed_rollover_keeps_every_published_day_current(setup_world, capsys, monkeypatch):
+    # a rollover commits each day it advances through: when the second day's
+    # state write fails, the last published day is the last saved one, and
+    # a revoke made next lands in its table
+    state, save = setup_world["state"], actors.save_issuer_state
+
+    def full_on_day_52(issuer, path):
+        if issuer.current_day == 52:
+            _disk_full()
+        save(issuer, path)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(actors, "save_issuer_state", full_on_day_52)
+        code, _, _ = run_cli("issuer", "rollover", "--state", str(state), "--to-day", "+2", capsys=capsys)
+    assert code == 1
+    assert _revoke(setup_world, capsys) == 0
+    last = service.PublicationStore(state / "public").archived_days()[-1]
+    assert _verdict(setup_world, capsys, last) == "revoked"
+    # "+K" counts from the last saved day, so the rerun names the target day
+    code, out, _ = run_cli("issuer", "rollover", "--state", str(state), "--to-day", "52", capsys=capsys)
+    assert code == 0 and json.loads(out)["current_day"] == 52
+    assert _verdict(setup_world, capsys, 52) == "revoked"
+
+
+@pytest.mark.parametrize("to_day", ["50", "49", "+0"])
+def test_rollover_to_a_day_not_ahead_exits_3(setup_world, capsys, to_day):
+    state = setup_world["state"]
+    before = sorted(path.name for path in (state / "public").iterdir()), (state / "issuer.state").read_bytes()
+    code, _, _ = run_cli("issuer", "rollover", "--state", str(state), "--to-day", to_day, capsys=capsys)
+    assert code == 3
+    assert (sorted(path.name for path in (state / "public").iterdir()), (state / "issuer.state").read_bytes()) == before
 
 
 def test_tampered_presentation_is_bad_pop_with_exit_code(setup_world, capsys):

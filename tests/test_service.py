@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import json
 import os
 import random
@@ -9,13 +10,14 @@ import threading
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import RecordingTransport, check_buckets, snapshot_to_bytes_v1
+from oracles import RecordingTransport, check_buckets, rollover_publishing_each_day, snapshot_to_bytes_v1
 from revoca import actors, ahibe, service
 from revoca.encoding import CanonicalDecodeError, canonical_decode
 from revoca.primitives import generate_signing_key, signing_public_key
 from revoca.tables import (
     CorruptSnapshotError,
     RevocationDocument,
+    RevocationTableSnapshot,
     TableParams,
     read_snapshot,
     snapshot_from_bytes,
@@ -240,6 +242,27 @@ class TestTransports:
         finally:
             server.shutdown()
 
+    @pytest.mark.parametrize("path", [
+        "/v1/days/" + "9" * 5000 + "/revocation",
+        "/v1/days/10/check/segments/" + "9" * 5000,
+        "/v1/days/" + "1" * 21 + "/revocation",
+        "/v1/days/10/check/segments/" + "1" * 21,
+    ], ids=["day-5000-digits", "segment-5000-digits", "day-21-digits", "segment-21-digits"])
+    def test_over_long_numbers_are_not_found(self, world, path):
+        # a u64 day has at most 20 digits; a longer number is a 404 on both
+        # transports, never a stray error that kills the handler thread
+        server, url = service.serve_in_thread(world["store"].root)
+        try:
+            for transport in (service.InProcessTransport(world["store"]), service.HttpTransport(url)):
+                assert transport.get(path) == (404, "unknown-resource", b"")
+                assert transport.get("/v1/days/10/revocation")[0] == 200
+        finally:
+            server.shutdown()
+
+    def test_only_ascii_digits_name_a_day(self, world):
+        # int() reads other scripts' digits too: one resource, one path
+        assert service.resolve_path(world["store"], "/v1/days/\u0661\u0660/revocation") == (404, "unknown-resource", b"")
+
     def test_serve_requires_params(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             service.serve(tmp_path / "empty", "127.0.0.1:0")
@@ -262,6 +285,25 @@ class TestClient:
         assert [path for path, _, _ in transport.requests] == [
             "/v1/params", "/v1/days/10/check/segments/2", "/v1/days/10/revocation",
         ]
+
+    def test_table_cache_is_keyed_by_the_verified_envelope_digest(self, world, monkeypatch):
+        # a new body is hashed once, when it is parsed, and a repeated one not
+        # at all; other bytes under a cached digest get the table that digest
+        # was verified for, never a parse of the new bytes
+        issuer, store, vc_id = world["issuer"], world["store"], world["credential"].vc_id
+        actors.issuer_revoke(issuer, vc_id, RevocationDocument(vc_id, "revoked", "", 10, 0), 10)
+        actors.issuer_publish(issuer, store)
+        covered = 5 + 32  # magic, version and the digest
+        forged = store.revocation_bytes(10)[:covered] + snapshot_to_bytes(RevocationTableSnapshot(10, PARAMS))[covered:]
+        client = service.TableClient(service.InProcessTransport(store))
+        hashes, sha256 = [], hashlib.sha256
+        monkeypatch.setattr(hashlib, "sha256", lambda data: hashes.append(len(data)) or sha256(data))
+        table, _ = client.fetch_revocation_table(10)
+        assert len(table.slots) == 1 and len(hashes) == 1
+        assert client.fetch_revocation_table(10)[0] is table and len(hashes) == 1
+        store.revocation_path(10).write_bytes(forged)
+        assert client.fetch_revocation_table(10) == (table, len(forged))
+        assert len(hashes) == 1
 
     def test_missing_day_raises_lookup(self, world):
         client = service.TableClient(service.InProcessTransport(world["store"]))
@@ -324,7 +366,7 @@ class TestClient:
         # a past-day authorization fetches yesterday's table beside today's:
         # each body is parsed once, however the fetches interleave
         issuer, store = world["issuer"], world["store"]
-        actors.issuer_rollover(issuer, 11, store)
+        rollover_publishing_each_day(issuer, store, 11)
         parses = []
 
         def counting(body):
@@ -345,7 +387,7 @@ class TestClient:
         assert client.fetch_revocation_table(10)[0].day == 10
         assert len(parses) == 3
         for day in range(12, 12 + service.TABLE_CACHE_DAYS):  # the oldest day leaves the cache
-            actors.issuer_rollover(issuer, day, store)
+            rollover_publishing_each_day(issuer, store, day)
             client.fetch_revocation_table(day)
         client.fetch_revocation_table(10)
         assert len(parses) == 3 + service.TABLE_CACHE_DAYS + 1
@@ -387,7 +429,7 @@ class TestClient:
         for store in (publisher, server):
             for j in range(PARAMS.sigma):
                 store.segment_bytes(10, j)
-        actors.issuer_rollover(world["issuer"], 40, publisher)
+        rollover_publishing_each_day(world["issuer"], publisher, 40)
         publisher.prune(40, 25)
         assert not publisher.check_path(10).exists()
         for store in (publisher, server):
@@ -424,7 +466,7 @@ class TestClient:
         # prunes: a request gets the right bytes or a 404, never a stray
         # error, and the memo stays within its bound
         publisher = world["store"]
-        actors.issuer_rollover(world["issuer"], 30, publisher)
+        rollover_publishing_each_day(world["issuer"], publisher, 30)
         expected = {
             (day, j): snapshot_to_bytes(read_snapshot(publisher.check_path(day)).segment(j))
             for day in range(10, 31)

@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import json
 import random
 import struct
 import tracemalloc
@@ -18,7 +19,6 @@ from oracles import (
     snapshot_to_bytes_v1,
 )
 from revoca import actors, ahibe
-from revoca.encoding import canonical_encode
 from revoca.primitives import check_bucket, generate_signing_key, index_from_ciphertext, seal, signing_public_key
 from revoca.sim import CounterRng
 from revoca.tables import (
@@ -274,17 +274,21 @@ class TestRevocationTable:
         with pytest.raises(IntegrityError):
             table2.scan(0, dk, "h", 1, vc_id)
 
-    @pytest.mark.parametrize("name, value", [("reason", 5), ("sequence", True), ("effective_from", True), ("constraints", [1])])
+    @pytest.mark.parametrize("name, value", [
+        ("reason", 5), ("sequence", True), ("effective_from", True), ("constraints", [1]),
+        ("constraints", {"until": 1.5}), ("constraints", {"x": None}),
+    ])
     def test_scan_flags_ill_typed_documents(self, name, value):
         # a well-sealed document with one field of the wrong type is
-        # publisher misbehavior, not a document
+        # publisher misbehavior, not a document; a float or a null has no
+        # canonical form, so the plaintext is written with json.dumps
         params = TableParams(d=2, c=8, sigma=2, min_anonymity=1)
         mpp, msk, rb = _transparent_world()
         vc_id = rb(16)
         rec = RevocationDocument(vc_id=vc_id, status="revoked", reason="", effective_from=1, sequence=0).to_record()
         rec[name] = value
         header, key = ahibe.encap(mpp, ahibe.IdentityPath("h", 1), rb)
-        sealed = seal(key, canonical_encode(rec), revocation_associated_data("h", 1, vc_id), rb)
+        sealed = seal(key, json.dumps(rec).encode("utf-8"), revocation_associated_data("h", 1, vc_id), rb)
         table = RevocationTableSnapshot(1, params).insert(0, RevocationEntry(header, sealed))
         dk = ahibe.delegate(ahibe.extract(msk, "h", rb), 1, rb)
         with pytest.raises(IntegrityError):
