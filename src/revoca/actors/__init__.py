@@ -15,6 +15,7 @@ from .issuer import (  # noqa: F401
     IssuerState,
     RegisteredDocument,
     RegistryError,
+    issuer_check_table,
     issuer_export_day,
     issuer_init,
     issuer_issue,

@@ -1,20 +1,24 @@
 """Issuer role: credential registry, daily table builds, revocation publishing.
 
 The registry is the single source of truth; every published snapshot is
-reproducible from it. The check table is rebuilt from the registry at each
-export. The revocation table grows incrementally within a day (same-day
+reproducible from it. The check table depends only on the active credential
+set and the day: it is derived from the registry after an issue or a
+rollover, and the state keeps the digest of the one last derived, so a
+publish rewrites the check file only when the file does not carry that
+digest. The revocation table grows incrementally within a day (same-day
 revocations are visible as soon as the day is re-published) and is rebuilt
 from scratch at every rollover, re-encrypting each active document under the
 new day's identities at freshly derived indices.
 
 Only `issuer_publish` and `save_issuer_state` write. A caller commits a change
-by saving the state and then publishing its day, one day at a time.
+by deriving a missing check table (`issuer_check_table`), saving the state
+and then publishing its day, one day at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from .. import ahibe
 from ..encoding import b64u_decode, canonical_decode, canonical_encode, write_atomic
@@ -40,6 +44,7 @@ from ..tables import (
     build_check_table,
     revocation_associated_data,
     slot_for_digest,
+    snapshot_digest,
     snapshot_from_bytes,
     snapshot_to_bytes,
 )
@@ -103,6 +108,9 @@ class IssuerState:
     current_day: int
     registry: Dict[bytes, CredentialRecord]
     revocation: RevocationTableSnapshot
+    # the content digest of the check table built for the current registry
+    # and day; None until one is built, and again after an issue or a rollover
+    check_digest: Optional[bytes] = None
     rng: RandomBytes = default_rng
 
     @property
@@ -161,6 +169,7 @@ def issuer_issue(
     state.registry[vc_id] = CredentialRecord(
         root=root, seed=seed, issued_day=state.current_day, expiry_day=expiry_day
     )
+    state.check_digest = None
     return credential, seed
 
 
@@ -211,6 +220,7 @@ def issuer_rollover(state: IssuerState, new_day: int) -> IssuerState:
     if new_day <= state.current_day:
         raise ValueError(f"rollover day must exceed the current day {state.current_day}")
     state.current_day = new_day
+    state.check_digest = None
     state.revocation = _rebuild_revocation(state, new_day)
     return state
 
@@ -226,17 +236,34 @@ def issuer_export_day(state: IssuerState) -> Tuple[CheckTableSnapshot, Revocatio
     return build_check_table(digests, state.params, day), state.revocation
 
 
-def issuer_publish(state: IssuerState, store) -> None:
-    check, revocation = issuer_export_day(state)
-    store.publish_check(check)
-    store.publish_revocation(revocation)
+def issuer_check_table(state: IssuerState) -> Optional[CheckTableSnapshot]:
+    """The current day's check table, its digest recorded in the state, when
+    the state names none; else None, and no token is derived."""
+    if state.check_digest is not None:
+        return None
+    check, _ = issuer_export_day(state)
+    state.check_digest = snapshot_digest(snapshot_to_bytes(check))
+    return check
+
+
+def issuer_publish(state: IssuerState, store, check: Optional[CheckTableSnapshot] = None) -> None:
+    """Write the current day's tables. A check table not given (as by
+    `issuer_check_table`) is derived and written only when the store's check
+    file does not carry the state's check digest: a same-day revoke writes
+    the revocation table alone, and a missing or damaged file is rewritten."""
+    if check is None and (state.check_digest is None or store.check_file_digest(state.current_day) != state.check_digest):
+        check, _ = issuer_export_day(state)
+    if check is not None:
+        state.check_digest = store.publish_check(check)
+    store.publish_revocation(state.revocation)
 
 
 # state persistence: saved before its day is published, so a failure leaves
 # the saved state ahead of the publication, never behind it
 
 # version 2 stores the revocation table as snapshot-v2 bytes; there is no
-# read path for version 1
+# read path for version 1. A version-2 state without `check_digest` loads
+# with none, and its next publish derives the check table
 STATE_VERSION = "2"
 
 
@@ -251,6 +278,7 @@ def issuer_state_to_bytes(state: IssuerState) -> bytes:
             "current_day": state.current_day,
             "registry": {vc_id_hex(vc_id): rec.to_record() for vc_id, rec in state.registry.items()},
             "revocation": snapshot_to_bytes(state.revocation),
+            **({} if state.check_digest is None else {"check_digest": state.check_digest}),
         }
     )
 
@@ -267,12 +295,13 @@ def issuer_state_from_bytes(data: bytes, rng: RandomBytes = default_rng) -> Issu
         current_day=rec["current_day"],
         registry={vc_id_from_hex(h): CredentialRecord.from_record(r) for h, r in rec["registry"].items()},
         revocation=snapshot_from_bytes(b64u_decode(rec["revocation"])),
+        check_digest=b64u_decode(rec["check_digest"]) if "check_digest" in rec else None,
         rng=rng,
     )
 
 
 def save_issuer_state(state: IssuerState, path) -> None:
-    write_atomic(path, issuer_state_to_bytes(state), private=True)
+    write_atomic(path, issuer_state_to_bytes(state), private=True, durable=True)
 
 
 def load_issuer_state(path, rng: RandomBytes = default_rng) -> IssuerState:

@@ -3,6 +3,7 @@
 State layout under the issuer --state directory:
 
     issuer.state   registry and current tables (private, 0600)
+    issuer.lock    held by each command that changes issuer.state
     trust.store    this issuer's trust-store entry
     public/        the publication directory: params.doc + per-day snapshots
                    (what `issuer serve` exposes and verifiers consume)
@@ -14,6 +15,8 @@ with a class-specific code.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import fcntl
 import json
 import os
 import sys
@@ -86,16 +89,28 @@ def _public_dir(state: Path) -> Path:
     return state / "public"
 
 
-def _load_issuer(args):
+@contextlib.contextmanager
+def _locked_issuer(args):
+    """(state dir, loaded issuer state), under an exclusive lock on
+    `issuer.lock` held until the block ends, so that two commands that change
+    the state take turns and neither saves over the other's change."""
     state_dir = _state_dir(args)
-    return state_dir, actors.load_issuer_state(state_dir / "issuer.state")
+    fd = os.open(state_dir / "issuer.lock", os.O_RDWR | os.O_CREAT, 0o600)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        yield state_dir, actors.load_issuer_state(state_dir / "issuer.state")
+    finally:
+        os.close(fd)  # releases the lock
 
 
 def _commit(state_dir: Path, state) -> None:
-    """Save `issuer.state`, then publish its day: after a failure the next
-    commit publishes every revocation the saved state holds."""
+    """Derive the check table if the state names none, save `issuer.state`
+    durably, then publish its day: the saved state names the check table
+    written after it, and after a failure the next commit publishes every
+    revocation the saved state holds."""
+    check = actors.issuer_check_table(state)
     actors.save_issuer_state(state, state_dir / "issuer.state")
-    actors.issuer_publish(state, service.PublicationStore(_public_dir(state_dir)))
+    actors.issuer_publish(state, service.PublicationStore(_public_dir(state_dir)), check)
 
 
 def _table_client(args) -> service.TableClient:
@@ -155,7 +170,6 @@ def cmd_issuer_init(args) -> int:
 
 
 def cmd_issuer_issue(args) -> int:
-    state_dir, state = _load_issuer(args)
     claims = json.loads(args.claims)
     bundle: dict = {}
     if args.pop_public_key:
@@ -164,47 +178,48 @@ def cmd_issuer_issue(args) -> int:
         pop_signing = generate_signing_key(default_rng)
         pop_public = signing_public_key(pop_signing)
         bundle["pop_signing_key"] = pop_signing
-    credential, seed = actors.issuer_issue(state, args.root, claims, args.expiry_day, pop_public)
+    with _locked_issuer(args) as (state_dir, state):
+        credential, seed = actors.issuer_issue(state, args.root, claims, args.expiry_day, pop_public)
+        _commit(state_dir, state)
     bundle.update({"credential": credential.to_record(), "seed": seed})
-    _commit(state_dir, state)
     write_atomic(args.out, canonical_encode(bundle), private=True)
     print(json.dumps({"vc_id": vc_id_hex(credential.vc_id), "bundle": args.out}))
     return 0
 
 
 def cmd_issuer_revoke(args) -> int:
-    state_dir, state = _load_issuer(args)
     vc_id = vc_id_from_hex(args.vc_id)
-    record = state.registry.get(vc_id)
-    if record is None:
-        raise CliError(f"unknown credential {args.vc_id}")
-    sequence = record.documents[-1].document.sequence + 1 if record.documents else 0
-    document = RevocationDocument(
-        vc_id=vc_id,
-        status=args.status,
-        reason=args.reason,
-        effective_from=state.current_day,
-        sequence=sequence,
-        constraints=json.loads(args.constraints) if args.constraints else None,
-    )
-    actors.issuer_revoke(state, vc_id, document, state.current_day)
-    _commit(state_dir, state)
+    with _locked_issuer(args) as (state_dir, state):
+        record = state.registry.get(vc_id)
+        if record is None:
+            raise CliError(f"unknown credential {args.vc_id}")
+        sequence = record.documents[-1].document.sequence + 1 if record.documents else 0
+        document = RevocationDocument(
+            vc_id=vc_id,
+            status=args.status,
+            reason=args.reason,
+            effective_from=state.current_day,
+            sequence=sequence,
+            constraints=json.loads(args.constraints) if args.constraints else None,
+        )
+        actors.issuer_revoke(state, vc_id, document, state.current_day)
+        _commit(state_dir, state)
     print(json.dumps({"vc_id": args.vc_id, "day": state.current_day, "sequence": sequence}))
     return 0
 
 
 def cmd_issuer_rollover(args) -> int:
-    state_dir, state = _load_issuer(args)
     if args.to_day is None:
         raise CliError("give --to-day")
-    # "+k" counts from the saved current day; a bare integer is absolute
-    target = int(args.to_day) + (state.current_day if args.to_day.startswith("+") else 0)
-    if target <= state.current_day:
-        raise CliError(f"rollover day must exceed the current day {state.current_day}")
-    for day in range(state.current_day + 1, target + 1):
-        actors.issuer_rollover(state, day)
-        _commit(state_dir, state)
-    service.PublicationStore(_public_dir(state_dir)).prune(state.current_day, args.retention)
+    with _locked_issuer(args) as (state_dir, state):
+        # "+k" counts from the saved current day; a bare integer is absolute
+        target = int(args.to_day) + (state.current_day if args.to_day.startswith("+") else 0)
+        if target <= state.current_day:
+            raise CliError(f"rollover day must exceed the current day {state.current_day}")
+        for day in range(state.current_day + 1, target + 1):
+            actors.issuer_rollover(state, day)
+            _commit(state_dir, state)
+        service.PublicationStore(_public_dir(state_dir)).prune(state.current_day, args.retention)
     print(json.dumps({"current_day": state.current_day}))
     return 0
 

@@ -87,7 +87,7 @@ def canonical_decode(data: bytes) -> Any:
     """
     try:
         return json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError: also an over-long integer literal
         raise CanonicalDecodeError(str(exc)) from exc
 
 
@@ -112,16 +112,28 @@ def decode_untrusted(data: bytes, from_record: Callable[[Any], Any], what: str) 
         raise CanonicalDecodeError(f"malformed {what}: {exc}") from exc
 
 
-def write_atomic(path, data: bytes, private: bool = False) -> None:
+def write_atomic(path, data: bytes, private: bool = False, durable: bool = False) -> None:
     """Replace the file at `path` with `data` through a sibling `.tmp` file and
     a rename, so a reader never sees a partly written file. A `private` file
     (secrets) is mode 0600 before its first byte is written; other files get
-    the umask's mode."""
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    the umask's mode. A `durable` write fsyncs the file before the rename and
+    its directory after it, so the new bytes survive a power loss once this
+    returns."""
+    parent = Path(path).parent
+    parent.mkdir(parents=True, exist_ok=True)
     tmp = f"{path}.tmp"
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600 if private else 0o666)
     with open(fd, "wb") as fh:
         if private:
             os.fchmod(fd, 0o600)  # a tmp left over from a crash keeps its old mode
         fh.write(data)
+        if durable:
+            fh.flush()
+            os.fsync(fd)
     os.replace(tmp, path)
+    if durable:
+        dir_fd = os.open(parent, os.O_RDONLY)
+        try:
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)

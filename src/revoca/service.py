@@ -9,16 +9,19 @@ design):
     GET /v1/days/{day}/revocation
 
 The in-process transport and the network transport share one path resolver,
-so both return identical bytes for identical requests. Not-found responses
-carry an empty body and a machine-readable reason in the metadata map (the
+so both return identical bytes for identical requests. Error responses carry
+an empty body and a machine-readable reason in the metadata map (the
 X-Reason header over HTTP).
 
 The server caches only encoded check segments, in one process-wide LRU memo
 of SEGMENT_MEMO_SIZE entries keyed by the check file's path, its version
 (mtime and size, from the stat each request makes) and the segment index.
-Nothing is invalidated: a republish changes the size even within one mtime
-tick (a day's check table changes only by added digests), a pruned file
-fails the stat before any lookup, and superseded entries age out.
+Nothing is invalidated. The issuer rewrites a check file only when the
+active credential set or the day changes (or the file is damaged); within a
+day that is an issue, which adds a digest and so changes the size even within
+one mtime tick. A same-day revoke leaves the check file, and with it the
+memo's entries, untouched. A pruned file fails the stat before any lookup,
+and superseded entries age out.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from .tables import (
     RevocationTableSnapshot,
     TableParams,
     check_snapshot_filename,
-    read_check_sigma,
+    read_check_envelope,
     read_snapshot,
     revocation_snapshot_filename,
     snapshot_digest,
@@ -177,8 +180,18 @@ class PublicationStore:
     def params_bytes(self) -> bytes:
         return _read(self.params_path(), "params-not-published")
 
-    def publish_check(self, snapshot: CheckTableSnapshot) -> None:
-        write_snapshot(snapshot, self.check_path(snapshot.day))
+    def publish_check(self, snapshot: CheckTableSnapshot) -> bytes:
+        """Write the day's check file; returns its content digest."""
+        return write_snapshot(snapshot, self.check_path(snapshot.day))
+
+    def check_file_digest(self, day: int) -> Optional[bytes]:
+        """The content digest of the day's check file when its bytes hash to
+        the digest its envelope claims; None when the file is missing,
+        damaged or unreadable."""
+        try:
+            return read_check_envelope(self.check_path(day), whole=True)[1]
+        except (OSError, CorruptSnapshotError):
+            return None
 
     def publish_revocation(self, snapshot: RevocationTableSnapshot) -> None:
         write_snapshot(snapshot, self.revocation_path(snapshot.day))
@@ -217,7 +230,7 @@ class PublicationStore:
 def _segment_bytes(path: Path, version: tuple, segment_index: int) -> bytes:
     """One encoded segment of a check file. `version` only keys the memo. An
     index outside the file's sigma is refused before the file is parsed."""
-    if not 0 <= segment_index < read_check_sigma(path):
+    if not 0 <= segment_index < read_check_envelope(path)[0][2]:  # d, c, sigma, ...
         raise ResourceNotFound("unknown-segment")
     return snapshot_to_bytes(read_snapshot(path).segment(segment_index))
 
@@ -254,6 +267,8 @@ def resolve_path(store: PublicationStore, path: str) -> Tuple[int, Optional[str]
         return 404, exc.reason, b""
     except CorruptSnapshotError:  # a damaged check file, or one in an older snapshot version
         return 500, "unreadable-snapshot", b""
+    except OSError:  # a published path the server cannot read: a directory, no permission
+        return 500, "unreadable-file", b""
     return 404, "unknown-resource", b""
 
 

@@ -434,20 +434,27 @@ def snapshot_digest(data: bytes) -> bytes:
     return data[len(_MAGIC) : _COVERED]
 
 
+def _verify_content_digest(data: bytes) -> None:
+    if hashlib.sha256(memoryview(data)[_COVERED:]).digest() != snapshot_digest(data):
+        raise CorruptSnapshotError("content digest mismatch")
+
+
 def snapshot_from_bytes(data: bytes):
     """Inverse of `snapshot_to_bytes`. The digest is checked over the bytes
     as read; any malformed input raises CorruptSnapshotError."""
     cls, day, fields, start = _envelope(data)
-    if hashlib.sha256(memoryview(data)[_COVERED:]).digest() != snapshot_digest(data):
-        raise CorruptSnapshotError("content digest mismatch")
+    _verify_content_digest(data)
     try:
         return cls.from_record(SnapshotRecord(day, fields, data[start:]))
     except (LookupError, ValueError, struct.error) as exc:  # CorruptSnapshotError is a ValueError
         raise CorruptSnapshotError(f"malformed snapshot: {exc}") from exc
 
 
-def write_snapshot(snapshot, path) -> None:
-    write_atomic(path, snapshot_to_bytes(snapshot))
+def write_snapshot(snapshot, path) -> bytes:
+    """Write the snapshot's file; returns its content digest."""
+    data = snapshot_to_bytes(snapshot)
+    write_atomic(path, data)
+    return snapshot_digest(data)
 
 
 def read_snapshot(path):
@@ -455,14 +462,19 @@ def read_snapshot(path):
         return snapshot_from_bytes(fh.read())
 
 
-def read_check_sigma(path) -> int:
-    """The segment count sigma of a check-table file, from its envelope
-    alone: neither the body nor the digest is read."""
+def read_check_envelope(path, whole: bool = False) -> tuple:
+    """(fixed fields, content digest) of a check-table file. Only the
+    envelope is read, and the digest is the one it claims; with `whole`, the
+    file is read to its end and its covered bytes must hash to that digest.
+    A file of another kind, or one that fails, raises CorruptSnapshotError."""
     with open(path, "rb") as fh:
-        cls, _, fields, _ = _envelope(fh.read(_COVERED + struct.calcsize(">BQ5I")))
+        data = fh.read() if whole else fh.read(_COVERED + struct.calcsize(">BQ5I"))
+    cls, _, fields, _ = _envelope(data)
     if cls is not CheckTableSnapshot:
         raise CorruptSnapshotError("not a check table")
-    return fields[2]  # d, c, sigma, min_anonymity, digest count
+    if whole:
+        _verify_content_digest(data)
+    return fields, snapshot_digest(data)
 
 
 def check_snapshot_filename(day: int) -> str:

@@ -24,7 +24,9 @@ table once held, the revocation table as a d-tuple of per-slot entry tuples
 slot and packed entry by entry into its record), and the rollover build that
 inserts one document at a time into it. The multi-day rollover is the
 former `issuer_rollover(state, day, store=store)`, which rebuilt and
-published every intermediate day itself.
+published every intermediate day itself. The check-file oracle is what every
+publish once wrote: each active credential's day token derived again and the
+check table built and encoded from scratch.
 The recording transport witnesses what a verifier asks of the publisher: it
 sees every request, answered or not, below the client.
 """
@@ -82,7 +84,7 @@ from revoca.pairing.fields import (
     fq12_sqr,
     fq_inv,
 )
-from revoca.primitives import AuthFailure, open_sealed, seal
+from revoca.primitives import AuthFailure, compute_check_digest, derive_day_token, open_sealed, seal
 from revoca.tables import (
     CheckSegment,
     CheckTableSnapshot,
@@ -93,7 +95,9 @@ from revoca.tables import (
     RevocationTableSnapshot,
     SnapshotRecord,
     TableParams,
+    build_check_table,
     revocation_associated_data,
+    snapshot_to_bytes,
 )
 
 _BLOCK = 64
@@ -566,6 +570,17 @@ def rebuild_revocation_oracle(state, day: int) -> BucketTableOracle:
             index, entry = _build_entry(state, record, vc_id, registered.document, day)
             snapshot = snapshot.insert(index, entry)
     return snapshot
+
+
+def check_file_oracle(state) -> bytes:
+    """The check file of the state's current day, from a full derivation."""
+    day = state.current_day
+    digests = [
+        compute_check_digest(derive_day_token(record.seed, day - record.issued_day), vc_id)
+        for vc_id, record in state.registry.items()
+        if record.active_on(day)
+    ]
+    return snapshot_to_bytes(build_check_table(digests, state.params, day))
 
 
 def rollover_publishing_each_day(state, store, to_day: int) -> None:

@@ -1,11 +1,15 @@
 import json
+import os
 import stat
+import threading
 
 import pytest
 
-from revoca import actors, service
+from oracles import check_file_oracle
+from revoca import actors, cli, service, tables
+from revoca.actors import issuer as issuer_module
 from revoca.cli import main
-from revoca.tables import read_snapshot
+from revoca.tables import read_snapshot, snapshot_digest
 
 
 def run_cli(*argv, capsys=None):
@@ -209,6 +213,136 @@ def test_failed_rollover_keeps_every_published_day_current(setup_world, capsys, 
     code, out, _ = run_cli("issuer", "rollover", "--state", str(state), "--to-day", "52", capsys=capsys)
     assert code == 0 and json.loads(out)["current_day"] == 52
     assert _verdict(setup_world, capsys, 52) == "revoked"
+
+
+def _issue(world, capsys, out="other.cred"):
+    code, out, _ = run_cli(
+        "issuer", "issue", "--state", str(world["state"]), "--root", "holder-9", "--expiry-day", "400",
+        "--out", str(world["tmp"] / out),
+        capsys=capsys,
+    )
+    return code, json.loads(out)["vc_id"] if code == 0 else None
+
+
+def _assert_tables_current(world):
+    """The day's check file is the full derivation over the saved state, and
+    the saved state names its digest; the revocation file is the saved
+    state's table."""
+    state = actors.load_issuer_state(world["state"] / "issuer.state")
+    public = service.PublicationStore(world["state"] / "public")
+    check = public.check_path(state.current_day).read_bytes()
+    assert check == check_file_oracle(state)
+    assert state.check_digest == snapshot_digest(check)
+    assert read_snapshot(public.revocation_path(state.current_day)) == state.revocation
+    return state
+
+
+def test_revoke_commit_derives_no_day_token_and_keeps_the_check_file(setup_world, capsys, monkeypatch):
+    # the saved state names the check file on disk, so the commit writes the
+    # revocation table alone: same bytes, same st_mtime_ns for the check file
+    _, other = _issue(setup_world, capsys)
+    public = setup_world["state"] / "public"
+    check_before = (public / "check-50.snap").read_bytes(), (public / "check-50.snap").stat().st_mtime_ns
+    revocation_before = (public / "revocation-50.snap").read_bytes()
+    calls, committing, real_token, real_commit = [], [False], issuer_module.derive_day_token, cli._commit
+
+    def counted_token(*args):
+        calls.append(committing[0])
+        return real_token(*args)
+
+    def commit(*args):
+        committing[0] = True
+        try:
+            real_commit(*args)
+        finally:
+            committing[0] = False
+
+    monkeypatch.setattr(issuer_module, "derive_day_token", counted_token)
+    monkeypatch.setattr(cli, "_commit", commit)
+    assert _revoke(setup_world, capsys) == 0
+    assert calls == [False]  # the revoked entry's own token; none in the commit
+    assert ((public / "check-50.snap").read_bytes(), (public / "check-50.snap").stat().st_mtime_ns) == check_before
+    assert (public / "revocation-50.snap").read_bytes() != revocation_before
+    _assert_tables_current(setup_world)
+    assert _verdict(setup_world, capsys, 50) == "revoked"
+
+
+def test_issue_whose_publish_fails_after_the_check_write_is_caught_up(setup_world, capsys, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(service.PublicationStore, "publish_revocation", _disk_full)
+        code, _ = _issue(setup_world, capsys)
+    assert code == 1
+    assert _revoke(setup_world, capsys) == 0
+    assert len(_assert_tables_current(setup_world).registry) == 2
+
+
+def test_state_write_that_fails_after_a_publish_is_caught_up(setup_world, capsys, monkeypatch):
+    # the issue's save fails after the previous commit published: the saved
+    # state still names the check file on disk, and the next commit is exact
+    with monkeypatch.context() as patch:
+        patch.setattr(actors, "save_issuer_state", _disk_full)
+        code, _ = _issue(setup_world, capsys)
+    assert code == 1
+    assert _revoke(setup_world, capsys) == 0
+    assert len(_assert_tables_current(setup_world).registry) == 1
+    assert _issue(setup_world, capsys)[0] == 0
+    assert len(_assert_tables_current(setup_world).registry) == 2
+
+
+def test_interleaved_revokes_both_land(setup_world, capsys, monkeypatch):
+    # each command that changes the state holds issuer.lock from its load to
+    # the end of its commit: two revokes whose loads would interleave at the
+    # barrier take turns instead, and neither saves over the other
+    _, other = _issue(setup_world, capsys)
+    barrier, real_load = threading.Barrier(2, timeout=1.0), actors.load_issuer_state
+
+    def load_at_barrier(path, *args):
+        state = real_load(path, *args)
+        try:
+            barrier.wait()
+        except threading.BrokenBarrierError:  # the other command waits for the lock
+            pass
+        return state
+
+    monkeypatch.setattr(actors, "load_issuer_state", load_at_barrier)
+    codes = []
+    threads = [threading.Thread(target=lambda v=v: codes.append(_revoke(setup_world, capsys, v)))
+               for v in (setup_world["vc_id"], other)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+    monkeypatch.undo()
+    assert codes == [0, 0]
+    state = _assert_tables_current(setup_world)
+    assert all(record.documents for record in state.registry.values())
+    assert len(state.revocation.slots) == 2
+    assert _verdict(setup_world, capsys, 50) == "revoked"
+
+
+def test_state_is_synced_before_the_first_publish_write(setup_world, capsys, monkeypatch):
+    # issuer.state is durable before anything is published: its file is
+    # fsynced before the rename, and its directory after it
+    events, real_fsync, real_write = [], os.fsync, tables.write_atomic
+
+    def fsync(fd):
+        info = os.fstat(fd)
+        events.append(("fsync", info.st_ino, stat.S_ISDIR(info.st_mode)))
+        real_fsync(fd)
+
+    def publish_write(path, *args, **kwargs):
+        events.append(("publish", str(path)))
+        real_write(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(tables, "write_atomic", publish_write)
+    assert _revoke(setup_world, capsys) == 0
+    state_dir = setup_world["state"]
+    first_publish = next(i for i, event in enumerate(events) if event[0] == "publish")
+    synced = events[:first_publish]
+    assert ("fsync", (state_dir / "issuer.state").stat().st_ino, False) in synced
+    assert ("fsync", state_dir.stat().st_ino, True) in synced
 
 
 @pytest.mark.parametrize("to_day", ["50", "49", "+0"])

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from revoca import actors
 from revoca.encoding import (
     CanonicalDecodeError,
     CanonicalEncodeError,
@@ -42,6 +43,26 @@ def test_decode_rejects_garbage():
         canonical_decode(b"\xff\xfe not json")
     with pytest.raises(CanonicalDecodeError):
         b64u_decode("!!!not-b64!!!")
+
+
+OVER_LONG_INTEGER = b"1" * 5000  # beyond the interpreter's integer-string limit
+
+
+def test_over_long_integer_is_a_decode_error():
+    with pytest.raises(CanonicalDecodeError):
+        canonical_decode(OVER_LONG_INTEGER)
+
+
+@pytest.mark.parametrize("load", [
+    lambda path: actors.TrustStore.load(path),
+    lambda path: actors.Wallet.load(path),
+    lambda path: actors.load_issuer_state(path),
+], ids=["trust-store", "wallet", "issuer-state"])
+def test_loaders_refuse_an_over_long_integer_with_a_decode_error(tmp_path, load):
+    path = tmp_path / "file"
+    path.write_bytes(OVER_LONG_INTEGER)
+    with pytest.raises(CanonicalDecodeError):
+        load(path)
 
 
 def test_b64u_round_trip():

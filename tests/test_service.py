@@ -228,6 +228,33 @@ class TestTransports:
         finally:
             server.shutdown()
 
+    @pytest.mark.parametrize("route", ["/v1/days/10/check/segments/1", "/v1/days/10/revocation"])
+    @pytest.mark.parametrize("fault", ["directory", "permission"])
+    def test_unreadable_file_is_a_classed_500(self, world, monkeypatch, route, fault):
+        # an OSError other than a missing file, such as a directory in the
+        # file's place or a file the server may not read, is a 500 with its
+        # own reason on both transports, never a handler thread that dies
+        store = world["store"]
+        path = store.check_path(10) if "/check/" in route else store.revocation_path(10)
+        if fault == "directory":
+            path.unlink()
+            path.mkdir()
+        else:
+            def denied(self, *args, **kwargs):
+                raise PermissionError(13, "Permission denied", str(self))
+
+            monkeypatch.setattr(service.Path, "read_bytes", denied)
+            monkeypatch.setattr(service, "read_check_envelope", lambda *args, **kwargs: denied(path))
+        server, url = service.serve_in_thread(store.root)
+        try:
+            for transport in (service.InProcessTransport(store), service.HttpTransport(url)):
+                assert transport.get(route) == (500, "unreadable-file", b"")
+                client = service.TableClient(transport)
+                with pytest.raises(service.ResourceNotFound):
+                    client.fetch_segment(10, 1) if "/check/" in route else client.fetch_revocation_table(10)
+        finally:
+            server.shutdown()
+
     def test_http_rejects_writes(self, world):
         server, url = service.serve_in_thread(world["store"].root)
         try:
