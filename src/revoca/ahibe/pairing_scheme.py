@@ -37,17 +37,17 @@ u20, u21 or Omega, the last two factors through s*F1 = s*u10 + (h1*s)*u11
 and s*F2 = s*u20 + (tau*s)*u21. `_decode_public` decodes and checks the
 params once and builds a fixed-base table (`Comb`) of each of the six, so
 `g1_mul` and `gt_pow` become table additions with no doubling or squaring.
-The build takes about 100 ms (five G1 tables at about 14 ms, the GT table
-at about 30 ms, on a CPython 3.11 host where one double-and-add `g1_mul`
-takes 4.6 ms), once per process and params, and the tables hold about
-1 MiB. The cache keeps at most four params, so tables cannot pile up.
+The build takes about 60 ms (five G1 tables at about 8 ms, the GT table
+at about 10 ms, the rest decoding and checking the bases, on a CPython 3.11
+host where one double-and-add `g1_mul` takes 1.5 ms), once per process and
+params, and the tables hold about 1 MiB. The cache keeps at most four params, so tables cannot pile up.
 
 The G2 products of `setup`, `extract` and `delegate` have fixed bases too:
 ghat, d20 and d21, through r2*F2(T) = r2*d20 + (tau*r2)*d21. The table of
 ghat is built once per process, those of d20 and d21 once per issuer (at
 most four), after the G2 membership test that a comb needs. A G2 table takes
-about 30 ms to build and holds about 0.28 MiB; a product from it takes 2 ms
-against 11 ms by double-and-add, on the same kind of host.
+about 18 ms to build and holds about 0.28 MiB; a product from it takes
+0.2 ms against 4 ms by double-and-add, on the same host.
 
 A day-scoped header component is testable by anyone holding delegation
 material; revocation tables are published per day, so the day is public

@@ -90,17 +90,23 @@ def _public_dir(state: Path) -> Path:
 
 
 @contextlib.contextmanager
-def _locked_issuer(args):
-    """(state dir, loaded issuer state), under an exclusive lock on
-    `issuer.lock` held until the block ends, so that two commands that change
-    the state take turns and neither saves over the other's change."""
-    state_dir = _state_dir(args)
-    fd = os.open(state_dir / "issuer.lock", os.O_RDWR | os.O_CREAT, 0o600)
+def _locked(lock_path):
+    """An exclusive `flock` on `lock_path` until the block ends: two commands
+    that load, change and save one file take turns, neither saving over the other."""
+    fd = os.open(lock_path, os.O_RDWR | os.O_CREAT, 0o600)
     try:
         fcntl.flock(fd, fcntl.LOCK_EX)
-        yield state_dir, actors.load_issuer_state(state_dir / "issuer.state")
+        yield
     finally:
         os.close(fd)  # releases the lock
+
+
+@contextlib.contextmanager
+def _locked_issuer(args):
+    """(state dir, loaded issuer state), under the lock on `issuer.lock`."""
+    state_dir = _state_dir(args)
+    with _locked(state_dir / "issuer.lock"):
+        yield state_dir, actors.load_issuer_state(state_dir / "issuer.state")
 
 
 def _commit(state_dir: Path, state) -> None:
@@ -257,9 +263,11 @@ def cmd_holder_store(args) -> int:
     if issuer_key is None:
         raise actors.WalletRejection(f"issuer {credential.issuer_id!r} not in trust store")
     wallet_path = Path(args.wallet)
-    wallet = actors.Wallet.load(wallet_path) if wallet_path.exists() else actors.Wallet()
-    actors.holder_store(wallet, credential, seed, holder_key, pop_signing, issuer_key)
-    wallet.save(wallet_path)
+    wallet_path.parent.mkdir(parents=True, exist_ok=True)
+    with _locked(f"{wallet_path}.lock"):
+        wallet = actors.Wallet.load(wallet_path) if wallet_path.exists() else actors.Wallet()
+        actors.holder_store(wallet, credential, seed, holder_key, pop_signing, issuer_key)
+        wallet.save(wallet_path)
     print(json.dumps({"vc_id": vc_id_hex(credential.vc_id), "wallet": args.wallet}))
     return 0
 

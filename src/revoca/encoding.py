@@ -17,6 +17,7 @@ from __future__ import annotations
 import base64
 import json
 import os
+import secrets
 from pathlib import Path
 from typing import Any, Callable
 
@@ -113,24 +114,28 @@ def decode_untrusted(data: bytes, from_record: Callable[[Any], Any], what: str) 
 
 
 def write_atomic(path, data: bytes, private: bool = False, durable: bool = False) -> None:
-    """Replace the file at `path` with `data` through a sibling `.tmp` file and
-    a rename, so a reader never sees a partly written file. A `private` file
-    (secrets) is mode 0600 before its first byte is written; other files get
-    the umask's mode. A `durable` write fsyncs the file before the rename and
-    its directory after it, so the new bytes survive a power loss once this
-    returns."""
+    """Replace the file at `path` with `data` through a new, uniquely named
+    sibling file and a rename, so a reader never sees a partly written file
+    and two writers of one path never share a temporary file; a failed write
+    removes its own. A `private` file (secrets) is mode 0600 from its
+    creation; other files get the umask's mode. A `durable` write fsyncs the
+    file before the rename and its directory after it, so the new bytes
+    survive a power loss once this returns."""
     parent = Path(path).parent
     parent.mkdir(parents=True, exist_ok=True)
-    tmp = f"{path}.tmp"
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600 if private else 0o666)
-    with open(fd, "wb") as fh:
-        if private:
-            os.fchmod(fd, 0o600)  # a tmp left over from a crash keeps its old mode
-        fh.write(data)
-        if durable:
-            fh.flush()
-            os.fsync(fd)
-    os.replace(tmp, path)
+    # O_EXCL as in tempfile.mkstemp, but with this mode, where mkstemp's is 0600
+    tmp = f"{path}.{secrets.token_hex(8)}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600 if private else 0o666)
+    try:
+        with open(fd, "wb") as fh:
+            fh.write(data)
+            if durable:
+                fh.flush()
+                os.fsync(fd)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     if durable:
         dir_fd = os.open(parent, os.O_RDONLY)
         try:

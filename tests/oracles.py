@@ -5,31 +5,32 @@ the HMAC oracle builds the block construction directly on hashlib, the HKDF
 oracle uses the `cryptography` library (the package's own HKDF is hand
 written on stdlib hmac), and the statistical oracles are direct summations
 and simulations. The pairing oracles are the package's earlier, slower
-arithmetic: an affine Miller loop with one field inversion per step, the
-Jacobian Miller loop that walks the G2 points themselves rather than their
-prepared lines, a final exponentiation by the generic hard-part exponent
-with plain Fq12 squaring, the G1 and G2 subgroup checks by multiplication
-with the group order, the affine chord-and-tangent point additions, and the
-variable-base encapsulation, which multiplies the identity points F1 and F2
-by double-and-add and raises Omega by cyclotomic square-and-multiply, and
-the variable-base delegation, which builds F2(T) in G2 from the delegation
-points, decoded unchecked, and multiplies it and ghat by double-and-add. The
-key-check oracle is the package's earlier randomized probe: encapsulate
-fresh, seal a random probe and open it with the day key, whose bw2 points
-are decoded unchecked. The table oracles are the package's earlier table
-code: the version-1 snapshot codec (canonical JSON records with a SHA-256
-over their canonical re-encoding), the per-bucket digest tuples a check
-table once held, the revocation table as a d-tuple of per-slot entry tuples
-(built from per-slot lists, appended to by copying the tuple, scanned slot by
-slot and packed entry by entry into its record), and the rollover build that
-inserts one document at a time into it. The multi-day rollover is the
-former `issuer_rollover(state, day, store=store)`, which rebuilt and
-published every intermediate day itself. The check-file oracle is what every
-publish once wrote: each active credential's day token derived again and the
-check table built and encoded from scratch.
-The recording transport witnesses what a verifier asks of the publisher: it
-sees every request, answered or not, below the client.
-"""
+arithmetic: the Fq12 product, square, line product and cyclotomic square
+built from Fq2 operations that each reduce their result, which the lazily
+reduced routines must match bit for bit, an affine Miller loop with one
+field inversion per step, the Jacobian Miller loop that walks the G2 points
+themselves rather than their prepared lines, a final exponentiation by the
+generic hard-part exponent with plain Fq12 squaring, the G1 and G2 subgroup
+checks by multiplication with the group order, the affine chord-and-tangent
+point additions, and the variable-base encapsulation, which multiplies the
+identity points F1 and F2 by double-and-add and raises Omega by cyclotomic
+square-and-multiply, and the variable-base delegation, which builds F2(T) in
+G2 from the delegation points, decoded unchecked, and multiplies it and ghat
+by double-and-add. The key-check oracle is the package's earlier randomized
+probe: encapsulate fresh, seal a random probe and open it with the day key,
+whose bw2 points are decoded unchecked. The table oracles are the package's
+earlier table code: the version-1 snapshot codec (canonical JSON records
+with a SHA-256 over their canonical re-encoding), the per-bucket digest
+tuples a check table once held, the revocation table as a d-tuple of per-
+slot entry tuples (built from per-slot lists, appended to by copying the
+tuple, scanned slot by slot and packed entry by entry into its record), and
+the rollover build that inserts one document at a time into it. The multi-
+day rollover is the former `issuer_rollover(state, day, store=store)`, which
+rebuilt and published every intermediate day itself. The check-file oracle
+is what every publish once wrote: each active credential's day token derived
+again and the check table built and encoded from scratch. The recording
+transport witnesses what a verifier asks of the publisher: it sees every
+request, answered or not, below the client. """
 
 from __future__ import annotations
 
@@ -72,16 +73,16 @@ from revoca.pairing.fields import (
     fq2_add,
     fq2_inv,
     fq2_mul,
+    fq2_mul_xi,
     fq2_neg,
     fq2_scalar,
     fq2_sqr,
     fq2_sub,
+    fq6_mul_v,
+    fq6_sub,
     fq12_conj,
     fq12_frob2,
     fq12_inv,
-    fq12_mul,
-    fq12_mul_014,
-    fq12_sqr,
     fq_inv,
 )
 from revoca.primitives import AuthFailure, compute_check_digest, derive_day_token, open_sealed, seal
@@ -144,6 +145,98 @@ def balls_into_bins_max(n_balls: int, n_bins: int, trials: int, seed: int = 7) -
     return worst
 
 
+# eagerly reduced Fq12 arithmetic: every Fq2 result is reduced
+
+
+def _fq6_add(x, y):
+    return (fq2_add(x[0], y[0]), fq2_add(x[1], y[1]), fq2_add(x[2], y[2]))
+
+
+def fq6_mul_oracle(x, y):
+    a0, a1, a2 = x
+    b0, b1, b2 = y
+    t0 = fq2_mul(a0, b0)
+    t1 = fq2_mul(a1, b1)
+    t2 = fq2_mul(a2, b2)
+    c0 = fq2_add(t0, fq2_mul_xi(fq2_sub(fq2_mul(fq2_add(a1, a2), fq2_add(b1, b2)), fq2_add(t1, t2))))
+    c1 = fq2_add(fq2_sub(fq2_mul(fq2_add(a0, a1), fq2_add(b0, b1)), fq2_add(t0, t1)), fq2_mul_xi(t2))
+    c2 = fq2_add(fq2_sub(fq2_mul(fq2_add(a0, a2), fq2_add(b0, b2)), fq2_add(t0, t2)), t1)
+    return (c0, c1, c2)
+
+
+def fq12_mul_oracle(x, y):
+    a0, a1 = x
+    b0, b1 = y
+    t0 = fq6_mul_oracle(a0, b0)
+    t1 = fq6_mul_oracle(a1, b1)
+    c1 = fq6_sub(fq6_mul_oracle(_fq6_add(a0, a1), _fq6_add(b0, b1)), _fq6_add(t0, t1))
+    return (_fq6_add(t0, fq6_mul_v(t1)), c1)
+
+
+def fq12_sqr_oracle(x):
+    a0, a1 = x
+    t = fq6_mul_oracle(a0, a1)
+    c0 = fq6_sub(fq6_sub(fq6_mul_oracle(_fq6_add(a0, a1), _fq6_add(a0, fq6_mul_v(a1))), t), fq6_mul_v(t))
+    return (c0, _fq6_add(t, t))
+
+
+def _fq6_mul_01(a, x0, x1):
+    # a * (x0 + x1*v)
+    a0, a1, a2 = a
+    t0 = fq2_mul(a0, x0)
+    t1 = fq2_mul(a1, x1)
+    return (
+        fq2_add(t0, fq2_mul_xi(fq2_mul(a2, x1))),
+        fq2_sub(fq2_mul(fq2_add(a0, a1), fq2_add(x0, x1)), fq2_add(t0, t1)),
+        fq2_add(t1, fq2_mul(a2, x0)),
+    )
+
+
+def fq12_mul_014_oracle(x, l0, l1, l4):
+    """x * ((l0, l1, 0), (0, l4, 0)) by a sparse Karatsuba: 13 Fq2 products."""
+    a, b = x
+    t0 = _fq6_mul_01(a, l0, l1)
+    b0, b1, b2 = b
+    t1 = (fq2_mul_xi(fq2_mul(b2, l4)), fq2_mul(b0, l4), fq2_mul(b1, l4))  # b * l4*v
+    c1 = fq6_sub(_fq6_mul_01(_fq6_add(a, b), l0, fq2_add(l1, l4)), _fq6_add(t0, t1))
+    return (_fq6_add(t0, fq6_mul_v(t1)), c1)
+
+
+def _fq4_sqr(x0, x1):
+    """(x0 + x1*t)^2 in Fq4 = Fq2[t]/(t^2 - xi), coefficients left unreduced."""
+    a, b = x0
+    c, d = x1
+    s = (c + d) * (c - d)  # x1^2 = (s, 2cd); xi * x1^2 = (s - 2cd, s + 2cd)
+    cd = 2 * c * d
+    ac = a * c
+    bd = b * d
+    return (
+        ((a + b) * (a - b) + s - cd, 2 * a * b + s + cd),
+        (2 * (ac - bd), 2 * ((a + b) * (c + d) - ac - bd)),
+    )
+
+
+def fq12_cyclotomic_sqr_oracle(x):
+    """Granger-Scott squaring through Fq4 squares; wrong outside the
+    cyclotomic subgroup."""
+    (c00, c01, c02), (c10, c11, c12) = x
+    a0, a1 = _fq4_sqr(c00, c11)  # A = c00 + c11*t
+    b0, b1 = _fq4_sqr(c10, c02)  # B = c10 + c02*t
+    d0, d1 = _fq4_sqr(c01, c12)  # C = c01 + c12*t
+    return (
+        (
+            ((3 * a0[0] - 2 * c00[0]) % P, (3 * a0[1] - 2 * c00[1]) % P),
+            ((3 * b0[0] - 2 * c01[0]) % P, (3 * b0[1] - 2 * c01[1]) % P),
+            ((3 * d0[0] - 2 * c02[0]) % P, (3 * d0[1] - 2 * c02[1]) % P),
+        ),
+        (
+            ((3 * (d1[0] - d1[1]) + 2 * c10[0]) % P, (3 * (d1[0] + d1[1]) + 2 * c10[1]) % P),
+            ((3 * a1[0] + 2 * c11[0]) % P, (3 * a1[1] + 2 * c11[1]) % P),
+            ((3 * b1[0] + 2 * c12[0]) % P, (3 * b1[1] + 2 * c12[1]) % P),
+        ),
+    )
+
+
 # pairing
 
 _X_BITS = bin(BLS_X)[3:]  # MSB handled by loop initialization
@@ -188,14 +281,14 @@ def miller_loop_oracle(pairs):
     ts = [q for _, q in live]
     f = FQ12_ONE
     for bit in _X_BITS:
-        f = fq12_sqr(f)
+        f = fq12_sqr_oracle(f)
         for i, (pt, q) in enumerate(live):
             ts[i], line = _double_step(ts[i], pt[0], pt[1])
-            f = fq12_mul(f, line)
+            f = fq12_mul_oracle(f, line)
         if bit == "1":
             for i, (pt, q) in enumerate(live):
                 ts[i], line = _add_step(ts[i], q, pt[0], pt[1])
-                f = fq12_mul(f, line)
+                f = fq12_mul_oracle(f, line)
     return fq12_conj(f)
 
 
@@ -253,14 +346,14 @@ def miller_loop_points_oracle(pairs):
     ts = [(q[0], q[1], (1, 0)) for _, q in live]
     f = FQ12_ONE
     for bit in _X_BITS:
-        f = fq12_sqr(f)
+        f = fq12_sqr_oracle(f)
         for i, ((xp, yp), q) in enumerate(live):
             ts[i], line = _jacobian_double_line(ts[i], xp, yp)
-            f = fq12_mul_014(f, *line)
+            f = fq12_mul_014_oracle(f, *line)
         if bit == "1":
             for i, ((xp, yp), q) in enumerate(live):
                 ts[i], line = _jacobian_add_line(ts[i], q, xp, yp)
-                f = fq12_mul_014(f, *line)
+                f = fq12_mul_014_oracle(f, *line)
     return fq12_conj(f)
 
 
@@ -268,16 +361,16 @@ def fq12_pow_oracle(x, e: int):
     """x^e by binary square-and-multiply with the generic Fq12 squaring."""
     result = FQ12_ONE
     for bit in bin(e)[2:]:
-        result = fq12_sqr(result)
+        result = fq12_sqr_oracle(result)
         if bit == "1":
-            result = fq12_mul(result, x)
+            result = fq12_mul_oracle(result, x)
     return result
 
 
 def final_exponentiation_oracle(f):
     """f^((q^12-1)/r): the easy part, then the hard part as one exponent."""
-    f1 = fq12_mul(fq12_conj(f), fq12_inv(f))  # f^(q^6-1)
-    f2 = fq12_mul(fq12_frob2(f1), f1)  # ^(q^2+1)
+    f1 = fq12_mul_oracle(fq12_conj(f), fq12_inv(f))  # f^(q^6-1)
+    f2 = fq12_mul_oracle(fq12_frob2(f1), f1)  # ^(q^2+1)
     return fq12_pow_oracle(f2, _HARD_EXP)
 
 

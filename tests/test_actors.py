@@ -418,24 +418,34 @@ class _FullDisk:
 ], ids=["wallet", "issuer-state"])
 @pytest.mark.parametrize("leftover_tmp", [False, True])
 def test_failed_secret_write_leaves_no_readable_tmp(world, tmp_path, monkeypatch, save, leftover_tmp):
-    # a write that fails between creating the tmp file and the rename leaves
-    # the tmp behind; it must never have held secrets readable by others,
-    # also when it reuses a 0644 tmp left over from an earlier crash
+    # a write that fails between creating its temporary file and the rename
+    # removes that file; the file never was readable by others, also when a
+    # 0644 tmp left over from an earlier crash sits beside it, which the
+    # write neither reuses nor removes
     path = tmp_path / "secret"
     tmp = tmp_path / "secret.tmp"
+    modes = []
     old_umask = os.umask(0o022)
     try:
         if leftover_tmp:
             tmp.write_bytes(b"")
         real_open = builtins.open
-        monkeypatch.setattr(builtins, "open", lambda file, *a, **k: _FullDisk(real_open(file, *a, **k)))
+
+        def full_disk_open(file, *args, **kwargs):
+            fh = real_open(file, *args, **kwargs)
+            modes.append(stat.S_IMODE(os.fstat(fh.fileno()).st_mode))
+            return _FullDisk(fh)
+
+        monkeypatch.setattr(builtins, "open", full_disk_open)
         with pytest.raises(OSError):
             save(world, path)
     finally:
         monkeypatch.undo()
         os.umask(old_umask)
     assert not path.exists()
-    assert not tmp.exists() or stat.S_IMODE(tmp.stat().st_mode) & 0o077 == 0
+    assert modes == [0o600]
+    assert sorted(p.name for p in tmp_path.iterdir() if p.name.startswith("secret")) == ["secret.tmp"] * leftover_tmp
+    assert not leftover_tmp or tmp.read_bytes() == b""
 
 
 @pytest.fixture(scope="module")

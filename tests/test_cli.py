@@ -9,6 +9,7 @@ from oracles import check_file_oracle
 from revoca import actors, cli, service, tables
 from revoca.actors import issuer as issuer_module
 from revoca.cli import main
+from revoca.primitives import vc_id_hex
 from revoca.tables import read_snapshot, snapshot_digest
 
 
@@ -319,6 +320,49 @@ def test_interleaved_revokes_both_land(setup_world, capsys, monkeypatch):
     assert all(record.documents for record in state.registry.values())
     assert len(state.revocation.slots) == 2
     assert _verdict(setup_world, capsys, 50) == "revoked"
+
+
+def test_interleaved_stores_both_land(setup_world, capsys, monkeypatch):
+    # holder store holds <wallet>.lock from its load to its save: two stores
+    # into one wallet whose loads would interleave at the barrier take turns
+    # instead, and neither saves over the other's credential
+    world, vc_ids = setup_world, []
+    for out in ("a.cred", "b.cred"):
+        code, vc_id = _issue(world, capsys, out=out)
+        assert code == 0
+        vc_ids.append(vc_id)
+    barrier, real_load = threading.Barrier(2, timeout=1.0), actors.Wallet.load
+
+    def load_at_barrier(cls, path):
+        wallet = real_load(path)
+        try:
+            barrier.wait()
+        except threading.BrokenBarrierError:  # the other store waits for the lock
+            pass
+        return wallet
+
+    def store(out):
+        return run_cli(
+            "holder", "store", "--wallet", str(world["wallet"]), "--bundle", str(world["tmp"] / out),
+            "--holder-key", str(world["tmp"] / "h9.key"), "--trust", str(world["state"] / "trust.store"),
+            capsys=capsys,
+        )[0]
+
+    monkeypatch.setattr(actors.Wallet, "load", classmethod(load_at_barrier))
+    codes = []
+    threads = [threading.Thread(target=lambda out=out: codes.append(store(out))) for out in ("a.cred", "b.cred")]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+    monkeypatch.undo()
+    assert codes == [0, 0]
+    stored = {vc_id_hex(vc_id) for vc_id in actors.Wallet.load(world["wallet"]).records}
+    assert stored == {world["vc_id"], *vc_ids}
+    assert sorted(p.name for p in world["tmp"].iterdir() if p.name.startswith("wallet")) == [
+        "wallet.store", "wallet.store.lock",
+    ]
 
 
 def test_state_is_synced_before_the_first_publish_write(setup_world, capsys, monkeypatch):

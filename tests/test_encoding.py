@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from revoca.encoding import (
     b64u_decode,
     canonical_decode,
     canonical_encode,
+    write_atomic,
 )
 
 
@@ -120,3 +122,22 @@ def test_structural_equality_gives_identical_bytes():
         value = _random_value(rng)
         clone = canonical_decode(canonical_encode(value))
         assert canonical_encode(clone) == canonical_encode(canonical_decode(canonical_encode(value)))
+
+
+def test_overlapping_writes_of_one_path_both_complete(tmp_path, monkeypatch):
+    # each write has its own temporary file: a second write of the path that
+    # runs between the first one's write and its rename neither fails the
+    # first nor is failed by it, and neither leaves a temporary file behind
+    path, real_replace, inner = tmp_path / "doc", os.replace, []
+
+    def replace(src, dst):
+        if not inner:
+            inner.append(src)
+            write_atomic(path, b"inner")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    write_atomic(path, b"outer")
+    monkeypatch.undo()
+    assert path.read_bytes() == b"outer"
+    assert [p.name for p in tmp_path.iterdir()] == ["doc"]

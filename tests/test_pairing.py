@@ -3,10 +3,15 @@ import hashlib
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from oracles import (
     final_exponentiation_oracle,
+    fq6_mul_oracle,
+    fq12_cyclotomic_sqr_oracle,
+    fq12_mul_014_oracle,
+    fq12_mul_oracle,
+    fq12_sqr_oracle,
     g1_add_oracle,
     g1_in_subgroup_oracle,
     g2_add_oracle,
@@ -57,8 +62,10 @@ from revoca.pairing.fields import (
     fq2_add,
     fq2_inv,
     fq2_mul,
+    fq2_scalar,
     fq2_sqrt,
     fq2_sqr,
+    fq6_mul,
     fq12_conj,
     fq12_cyclotomic_sqr,
     fq12_frob,
@@ -174,6 +181,95 @@ def test_cyclotomic_square_matches_generic_square_on_gt():
     x = fq12_mul(fq12_conj(x), fq12_inv(x))
     x = fq12_mul(fq12_frob2(x), x)
     assert fq12_cyclotomic_sqr(x) == fq12_sqr(x)
+
+
+# the lazily reduced Fq12 routines against the eagerly reduced oracles, on
+# random elements and on coefficients 0, 1 and P-1
+EDGE_COEFFS = (0, 1, P - 1)
+FQ12_ZERO = ((FQ2_ZERO,) * 3,) * 2
+_coeffs = st.one_of(st.sampled_from(EDGE_COEFFS), st.integers(0, P - 1))
+_fq2s = st.tuples(_coeffs, _coeffs)
+_fq12s = st.tuples(st.tuples(_fq2s, _fq2s, _fq2s), st.tuples(_fq2s, _fq2s, _fq2s))
+
+
+def _edge_fq12(r):
+    return tuple(tuple((r.choice(EDGE_COEFFS), r.choice(EDGE_COEFFS)) for _ in range(3)) for _ in range(2))
+
+
+def _operands(seed, n):
+    """n random elements, n with every coefficient 0, 1 or P-1, and the
+    constant ones: zero, one, and every coefficient 1 or P-1."""
+    r = random.Random(seed)
+    fixed = [FQ12_ZERO, FQ12_ONE] + [((((c, c),) * 3),) * 2 for c in (1, P - 1)]
+    return fixed + [_random_fq12(r) for _ in range(n)] + [_edge_fq12(r) for _ in range(n)]
+
+
+def _to_cyclotomic(x):
+    """x^((q^6-1)(q^2+1)) for x != 0, in the cyclotomic subgroup."""
+    x = fq12_mul_oracle(fq12_conj(x), fq12_inv(x))
+    return fq12_mul_oracle(fq12_frob2(x), x)
+
+
+def test_fq12_mul_and_sqr_match_eager_oracles():
+    xs = _operands(31, 30)
+    for x, y in [*zip(xs, _operands(32, 30)), *zip(xs, xs[::-1])]:  # like with like, then random with edge
+        assert fq12_mul(x, y) == fq12_mul_oracle(x, y)
+        assert fq6_mul(x[1], y[0]) == fq6_mul_oracle(x[1], y[0])
+        assert fq12_sqr(x) == fq12_sqr_oracle(x)
+
+
+def test_line_product_matches_eager_oracles():
+    # lines as the Miller loop passes them: a G2 point's prepared lines,
+    # scaled by the G1 point's (xp, yp)
+    r = random.Random(33)
+    points = [(g1_mul(G1_GEN, r.randrange(1, R)), g2_lines(g2_mul(G2_GEN, r.randrange(1, R)))) for _ in range(2)]
+    points.append((G1_GEN, GEN_LINES))
+    for f in _operands(34, 8):
+        (xp, yp), lines = r.choice(points)
+        l0, l1, l4 = r.choice(lines)
+        line = (l0, fq2_scalar(l1, xp), fq2_scalar(l4, yp))
+        dense = ((line[0], line[1], FQ2_ZERO), (FQ2_ZERO, line[2], FQ2_ZERO))
+        assert fq12_mul_014(f, *line) == fq12_mul_014_oracle(f, *line) == fq12_mul_oracle(f, dense)
+        edge_line = tuple((r.choice(EDGE_COEFFS), r.choice(EDGE_COEFFS)) for _ in range(3))
+        assert fq12_mul_014(f, *edge_line) == fq12_mul_014_oracle(f, *edge_line)
+
+
+def test_cyclotomic_square_matches_eager_oracles():
+    r = random.Random(35)
+    e = pairing_product([(G1_GEN, GEN_LINES)])
+    subgroup = [FQ12_ONE, e, fq12_conj(e)] + [gt_pow(e, r.randrange(1, R)) for _ in range(4)]
+    subgroup += [_to_cyclotomic(x) for x in _operands(36, 8) if x != FQ12_ZERO]
+    for g in subgroup:
+        assert fq12_cyclotomic_sqr(g) == fq12_cyclotomic_sqr_oracle(g) == fq12_sqr_oracle(g)
+    # off the subgroup the square is wrong, but the same polynomial as the oracle's
+    for x in _operands(37, 8):
+        assert fq12_cyclotomic_sqr(x) == fq12_cyclotomic_sqr_oracle(x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fq12s, _fq12s)
+def test_fq12_mul_property(x, y):
+    assert fq12_mul(x, y) == fq12_mul_oracle(x, y)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fq12s)
+def test_fq12_sqr_property(x):
+    assert fq12_sqr(x) == fq12_sqr_oracle(x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fq12s, _fq2s, _fq2s, _fq2s)
+def test_fq12_mul_014_property(x, l0, l1, l4):
+    assert fq12_mul_014(x, l0, l1, l4) == fq12_mul_014_oracle(x, l0, l1, l4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fq12s)
+def test_fq12_cyclotomic_sqr_property(x):
+    assume(x != FQ12_ZERO)
+    g = _to_cyclotomic(x)
+    assert fq12_cyclotomic_sqr(g) == fq12_cyclotomic_sqr_oracle(g) == fq12_sqr_oracle(g)
 
 
 class TestGroups:
