@@ -116,8 +116,9 @@ def decode_untrusted(data: bytes, from_record: Callable[[Any], Any], what: str) 
 def write_atomic(path, data: bytes, private: bool = False, durable: bool = False) -> None:
     """Replace the file at `path` with `data` through a new, uniquely named
     sibling file and a rename, so a reader never sees a partly written file
-    and two writers of one path never share a temporary file; a failed write
-    removes its own. A `private` file (secrets) is mode 0600 from its
+    and two writers of one path never share a temporary file. A write that
+    raises removes its own; one cut short by a crash or power loss leaves
+    `<path>.<hex>.tmp` behind, and no later write removes it. A `private` file (secrets) is mode 0600 from its
     creation; other files get the umask's mode. A `durable` write fsyncs the
     file before the rename and its directory after it, so the new bytes
     survive a power loss once this returns."""
