@@ -99,7 +99,10 @@ def verifier_check(
     except SignatureDecodeError as exc:
         raise BadProofOfPossession(str(exc)) from exc
 
-    document = table_source.params()
+    try:
+        document = table_source.params()
+    except LookupError as exc:
+        raise SnapshotUnavailable("no params document") from exc
     mpp = document.mpp
     params = document.table_params
 

@@ -13,6 +13,9 @@ so both return identical bytes for identical requests. Error responses carry
 an empty body and a machine-readable reason in the metadata map (the
 X-Reason header over HTTP).
 
+Connections are persistent HTTP/1.1 (the server closes one after
+HTTP_IDLE_SECONDS idle); a verifier makes the same requests as over fresh ones.
+
 The server caches only encoded check segments, in one process-wide LRU memo
 of SEGMENT_MEMO_SIZE entries keyed by the check file's path, its version
 (mtime and size, from the stat each request makes) and the segment index.
@@ -66,6 +69,7 @@ TABLE_CACHE_DAYS = 2
 SEGMENT_MEMO_SIZE = 64  # every segment of four days at the default sigma = 16
 
 HTTP_TIMEOUT_SECONDS = 10.0
+HTTP_IDLE_SECONDS = 5.0  # the server closes a connection idle this long
 
 ROUTES = (
     "/v1/params",
@@ -283,23 +287,31 @@ class InProcessTransport:
 
 
 class HttpTransport:
+    """One persistent HTTP/1.1 connection, reused; a transport is used from one thread."""
+
     def __init__(self, base_url: str):
         parsed = urllib.parse.urlsplit(base_url)
         if parsed.scheme != "http":
             raise ValueError("only plain http is supported")
-        self.host = parsed.hostname
-        self.port = parsed.port or 80
+        self._conn = http.client.HTTPConnection(parsed.hostname, parsed.port or 80, timeout=HTTP_TIMEOUT_SECONDS)
 
     def get(self, path: str) -> Tuple[int, Optional[str], bytes]:
-        conn = http.client.HTTPConnection(self.host, self.port, timeout=HTTP_TIMEOUT_SECONDS)
+        reused = self._conn.sock is not None
         try:
-            conn.request("GET", path)
-            response = conn.getresponse()
-            body = response.read()
-            reason = response.headers.get("X-Reason")
-            return response.status, reason, body
-        finally:
-            conn.close()
+            return self._request(path)
+        except (ConnectionResetError, BrokenPipeError):  # RemoteDisconnected is a ConnectionResetError
+            if not reused:
+                raise
+            return self._request(path)  # the server closed the idle connection; a GET is safe to repeat
+
+    def _request(self, path: str) -> Tuple[int, Optional[str], bytes]:
+        try:
+            self._conn.request("GET", path)
+            response = self._conn.getresponse()  # closes the connection if the response says it will
+            return response.status, response.headers.get("X-Reason"), response.read()
+        except BaseException:
+            self._conn.close()  # never read a half-read response's bytes as the next one
+            raise
 
 
 class TableClient:
@@ -314,7 +326,10 @@ class TableClient:
         self._tables = OrderedDict()
 
     def _get(self, path: str) -> bytes:
-        status, reason, body = self.transport.get(path)
+        try:
+            status, reason, body = self.transport.get(path)
+        except (OSError, http.client.HTTPException) as exc:  # refused, timed out, cut short
+            raise ResourceNotFound("transport-failed") from exc
         if status != 200:
             raise ResourceNotFound(reason or "not-found")
         return body
@@ -353,11 +368,17 @@ class TableClient:
 
 
 class _Handler(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"  # persistent connections: every response sends Content-Length
+    disable_nagle_algorithm = True  # or each body waits about 40 ms for the delayed ACK of its headers
+    timeout = HTTP_IDLE_SECONDS  # an idle connection gives its thread back
+
     def do_GET(self):  # noqa: N802  (stdlib naming)
         status, reason, body = resolve_path(self.server.store, self.path)
         self.send_response(status)
         if reason:
             self.send_header("X-Reason", reason)
+        if self.headers.get("Content-Length", "0") != "0" or "Transfer-Encoding" in self.headers:
+            self.send_header("Connection", "close")  # no route reads a request body
         self.send_header("Content-Type", "application/json" if self.path == "/v1/params" else "application/octet-stream")
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
@@ -367,6 +388,7 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(405)
         self.send_header("X-Reason", "read-only")
         self.send_header("Content-Length", "0")
+        self.send_header("Connection", "close")  # also sets close_connection: the body is never read
         self.end_headers()
 
     do_PUT = do_POST

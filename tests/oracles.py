@@ -30,10 +30,12 @@ rebuilt and published every intermediate day itself. The check-file oracle
 is what every publish once wrote: each active credential's day token derived
 again and the check table built and encoded from scratch. The recording
 transport witnesses what a verifier asks of the publisher: it sees every
-request, answered or not, below the client. """
+request, answered or not, below the client. The serving helper runs a
+publication server for one block and then closes its listening socket. """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import math
 import random
@@ -44,7 +46,7 @@ from itertools import chain
 from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
-from revoca import ahibe
+from revoca import ahibe, service
 from revoca.actors.issuer import _build_entry, issuer_publish, issuer_rollover
 from revoca.ahibe import pairing_scheme
 from revoca.encoding import CanonicalDecodeError, b64u_decode, canonical_decode, canonical_encode
@@ -695,3 +697,15 @@ class RecordingTransport:
         status, reason, body = self.transport.get(path)
         self.requests.append((path, status, len(body)))
         return status, reason, body
+
+
+@contextlib.contextmanager
+def serving(root):
+    """A publication server on a free loopback port: yields (server, base
+    URL), then stops it and closes its listening socket."""
+    server, url = service.serve_in_thread(root)
+    try:
+        yield server, url
+    finally:
+        server.shutdown()
+        server.server_close()

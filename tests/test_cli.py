@@ -1,11 +1,12 @@
 import json
 import os
+import socket
 import stat
 import threading
 
 import pytest
 
-from oracles import check_file_oracle
+from oracles import check_file_oracle, serving
 from revoca import actors, cli, service, tables
 from revoca.actors import issuer as issuer_module
 from revoca.cli import main
@@ -484,10 +485,7 @@ def test_sim_run_cli(tmp_path, capsys):
 
 
 def test_serve_and_check_over_http(setup_world, capsys):
-    from revoca import service
-
-    server, url = service.serve_in_thread(setup_world["state"] / "public")
-    try:
+    with serving(setup_world["state"] / "public") as (_, url):
         pres = _present(setup_world, capsys)
         code, out, _ = run_cli(
             "verifier", "check", "--presentation", str(pres), "--trust", str(setup_world["state"] / "trust.store"),
@@ -496,8 +494,19 @@ def test_serve_and_check_over_http(setup_world, capsys):
         )
         assert code == 0
         assert json.loads(out)["statuses"]["50"]["verdict"] == "no-revocation-found"
-    finally:
-        server.shutdown()
+
+
+def test_check_against_a_dead_endpoint_is_snapshot_unavailable(setup_world, capsys):
+    pres = _present(setup_world, capsys)
+    with socket.socket() as sock:  # bound but not listening: every connection is refused
+        sock.bind(("127.0.0.1", 0))
+        code, _, err = run_cli(
+            "verifier", "check", "--presentation", str(pres), "--trust", str(setup_world["state"] / "trust.store"),
+            "--endpoint", f"http://127.0.0.1:{sock.getsockname()[1]}", "--current-day", "50",
+            capsys=capsys,
+        )
+    assert code == 14
+    assert json.loads(err)["error"] == "snapshot-unavailable"
 
 
 def test_state_dir_env_fallback(setup_world, capsys, monkeypatch):

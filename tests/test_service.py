@@ -1,16 +1,19 @@
+import contextlib
 import functools
 import hashlib
+import http.client
 import json
 import os
 import random
 import re
+import socket
 import sys
 import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import RecordingTransport, check_buckets, rollover_publishing_each_day, snapshot_to_bytes_v1
+from oracles import RecordingTransport, check_buckets, rollover_publishing_each_day, serving, snapshot_to_bytes_v1
 from revoca import actors, ahibe, service
 from revoca.encoding import CanonicalDecodeError, canonical_decode
 from revoca.primitives import generate_signing_key, signing_public_key
@@ -213,8 +216,7 @@ class TestRoutes:
 class TestTransports:
     def test_byte_identical_bodies_and_logs(self, world, tmp_path):
         store = world["store"]
-        server, url = service.serve_in_thread(store.root)
-        try:
+        with serving(store.root) as (_, url):
             inproc = service.InProcessTransport(store)
             http = service.HttpTransport(url)
             for path in (
@@ -225,8 +227,6 @@ class TestTransports:
                 "/v1/not/a/route",
             ):
                 assert inproc.get(path) == http.get(path)
-        finally:
-            server.shutdown()
 
     @pytest.mark.parametrize("route", ["/v1/days/10/check/segments/1", "/v1/days/10/revocation"])
     @pytest.mark.parametrize("fault", ["directory", "permission"])
@@ -245,29 +245,21 @@ class TestTransports:
 
             monkeypatch.setattr(service.Path, "read_bytes", denied)
             monkeypatch.setattr(service, "read_check_envelope", lambda *args, **kwargs: denied(path))
-        server, url = service.serve_in_thread(store.root)
-        try:
+        with serving(store.root) as (_, url):
             for transport in (service.InProcessTransport(store), service.HttpTransport(url)):
                 assert transport.get(route) == (500, "unreadable-file", b"")
                 client = service.TableClient(transport)
                 with pytest.raises(service.ResourceNotFound):
                     client.fetch_segment(10, 1) if "/check/" in route else client.fetch_revocation_table(10)
-        finally:
-            server.shutdown()
 
     def test_http_rejects_writes(self, world):
-        server, url = service.serve_in_thread(world["store"].root)
-        try:
-            import http.client
-
-            conn = http.client.HTTPConnection(server.server_address[0], server.server_address[1])
+        with serving(world["store"].root) as (server, _):
+            conn = http.client.HTTPConnection(*server.server_address[:2])
             conn.request("POST", "/v1/params", body=b"{}")
             response = conn.getresponse()
             assert response.status == 405
             assert response.headers["X-Reason"] == "read-only"
             conn.close()
-        finally:
-            server.shutdown()
 
     @pytest.mark.parametrize("path", [
         "/v1/days/" + "9" * 5000 + "/revocation",
@@ -278,13 +270,10 @@ class TestTransports:
     def test_over_long_numbers_are_not_found(self, world, path):
         # a u64 day has at most 20 digits; a longer number is a 404 on both
         # transports, never a stray error that kills the handler thread
-        server, url = service.serve_in_thread(world["store"].root)
-        try:
+        with serving(world["store"].root) as (_, url):
             for transport in (service.InProcessTransport(world["store"]), service.HttpTransport(url)):
                 assert transport.get(path) == (404, "unknown-resource", b"")
                 assert transport.get("/v1/days/10/revocation")[0] == 200
-        finally:
-            server.shutdown()
 
     def test_only_ascii_digits_name_a_day(self, world):
         # int() reads other scripts' digits too: one resource, one path
@@ -293,6 +282,152 @@ class TestTransports:
     def test_serve_requires_params(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             service.serve(tmp_path / "empty", "127.0.0.1:0")
+
+
+def _count_connections(server):
+    """The client addresses of the connections the server accepts from now on."""
+    accepted = []
+    get_request = server.get_request
+
+    def counting():
+        request = get_request()
+        accepted.append(request[1])
+        return request
+
+    server.get_request = counting
+    return accepted
+
+
+def _present_today(world):
+    rng = world["rng"]
+    return actors.holder_present(world["wallet"], world["credential"].vc_id, [10], rng(16), rng)
+
+
+@contextlib.contextmanager
+def _scripted_server(*replies, hang=False):
+    """A loopback server that accepts one connection and answers each of its
+    requests with the next of `replies`; then it closes the connection, or
+    with `hang` keeps it open and silent. Yields (base URL, listener)."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(5)
+    release = threading.Event()
+
+    def answer():
+        conn, _ = listener.accept()
+        with conn:
+            reader = conn.makefile("rb")
+            for reply in replies:
+                while reader.readline() not in (b"\r\n", b""):  # the request's head
+                    pass
+                conn.sendall(reply)
+            if hang:
+                release.wait()
+
+    thread = threading.Thread(target=answer, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{listener.getsockname()[1]}", listener
+    finally:
+        release.set()
+        thread.join()
+        listener.close()
+
+
+@contextlib.contextmanager
+def _refusing_url():
+    """The URL of a loopback port that is bound but not listening."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        yield f"http://127.0.0.1:{sock.getsockname()[1]}"
+
+
+class TestPersistentConnections:
+    def test_two_checks_share_one_connection(self, world):
+        with serving(world["store"].root) as (server, url):
+            accepted = _count_connections(server)
+            client = service.TableClient(service.HttpTransport(url))
+            for _ in range(2):
+                result = actors.verifier_check(_present_today(world), world["trust"], client, 10)
+                assert result.statuses == {10: ()}
+            assert len(accepted) == 1
+
+    def test_idle_connection_closed_by_the_server_is_retried_once(self, world, monkeypatch):
+        monkeypatch.setattr(service._Handler, "timeout", 0.2)
+        with serving(world["store"].root) as (server, url):
+            accepted = _count_connections(server)
+            closed = threading.Event()
+            shutdown_request = server.shutdown_request
+
+            def closing(request):
+                shutdown_request(request)
+                closed.set()
+
+            server.shutdown_request = closing
+            client = service.TableClient(service.HttpTransport(url))
+            client.params()
+            assert closed.wait(5)  # the server dropped the idle connection
+            result = actors.verifier_check(_present_today(world), world["trust"], client, 10)
+            assert result.statuses == {10: ()}
+            assert len(accepted) == 2  # one reconnect, then that connection is reused
+
+    def test_a_404_keeps_the_connection(self, world):
+        with serving(world["store"].root) as (server, url):
+            accepted = _count_connections(server)
+            transport = service.HttpTransport(url)
+            assert transport.get("/v1/not/a/route") == (404, "unknown-resource", b"")
+            assert transport.get("/v1/params") == (200, None, world["store"].params_bytes())
+            assert len(accepted) == 1
+
+    def test_a_timeout_is_not_retried(self, monkeypatch):
+        # a server that answers once and then stays silent: the second
+        # request fails after one timeout, and no second connection is made
+        monkeypatch.setattr(service, "HTTP_TIMEOUT_SECONDS", 0.3)
+        ok = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok"
+        with _scripted_server(ok, hang=True) as (url, listener):
+            client = service.TableClient(service.HttpTransport(url))
+            assert client._get("/v1/params") == b"ok"
+            with pytest.raises(service.ResourceNotFound, match="transport-failed") as info:
+                client._get("/v1/params")
+            assert isinstance(info.value.__cause__, TimeoutError)
+            listener.setblocking(False)
+            with pytest.raises(BlockingIOError):
+                listener.accept()
+
+    @pytest.mark.parametrize("method, chunked", [("POST", False), ("GET", False), ("GET", True)])
+    def test_an_unread_request_body_never_answers_the_next_request(self, world, method, chunked):
+        # the first request carries a body that is itself a request for
+        # another route: the next request gets its own route's bytes, on the
+        # same connection or a new one, never that route's
+        smuggled = b"GET /v1/params HTTP/1.1\r\nHost: x\r\n\r\n"
+        store = world["store"]
+        with serving(store.root) as (server, _):
+            conn = http.client.HTTPConnection(*server.server_address[:2], timeout=5)
+            body = iter([smuggled]) if chunked else smuggled
+            conn.request(method, "/v1/days/10/revocation", body=body, encode_chunked=chunked)
+            response = conn.getresponse()
+            response.read()
+            assert response.status == (405 if method == "POST" else 200)
+            conn.request("GET", "/v1/days/10/check/segments/1")
+            response = conn.getresponse()
+            assert (response.status, response.read()) == (200, store.segment_bytes(10, 1))
+            conn.close()
+
+    def test_a_refused_connection_is_snapshot_unavailable(self, world):
+        with _refusing_url() as url:
+            client = service.TableClient(service.HttpTransport(url))
+            with pytest.raises(actors.SnapshotUnavailable) as info:
+                actors.verifier_check(_present_today(world), world["trust"], client, 10)
+            assert info.value.__cause__.reason == "transport-failed"
+            assert isinstance(info.value.__cause__.__cause__, ConnectionRefusedError)
+
+    def test_a_short_body_is_snapshot_unavailable(self, world):
+        short = b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\nshort"
+        with _scripted_server(short) as (url, _):
+            client = service.TableClient(service.HttpTransport(url))
+            with pytest.raises(actors.SnapshotUnavailable) as info:
+                actors.verifier_check(_present_today(world), world["trust"], client, 10)
+            assert info.value.__cause__.reason == "transport-failed"
+            assert isinstance(info.value.__cause__.__cause__, http.client.IncompleteRead)
 
 
 class TestClient:
@@ -373,8 +508,7 @@ class TestClient:
         store.check_path(10).write_bytes(snapshot_to_bytes_v1(check))
         store.revocation_path(10).write_bytes(snapshot_to_bytes_v1(revocation))
         assert service.resolve_path(store, "/v1/days/10/check/segments/0") == (500, "unreadable-snapshot", b"")
-        server, url = service.serve_in_thread(store.root)
-        try:
+        with serving(store.root) as (_, url):
             client = service.TableClient(service.HttpTransport(url))
             assert client.transport.get("/v1/days/10/check/segments/0")[:2] == (500, "unreadable-snapshot")
             with pytest.raises(service.ResourceNotFound):
@@ -385,9 +519,6 @@ class TestClient:
             presentation = actors.holder_present(world["wallet"], world["credential"].vc_id, [10], rng(16), rng)
             with pytest.raises(actors.SnapshotUnavailable):
                 actors.verifier_check(presentation, world["trust"], client, 10, rng)
-        finally:
-            server.shutdown()
-            server.server_close()
 
     def test_alternating_days_parse_each_table_once(self, world, monkeypatch):
         # a past-day authorization fetches yesterday's table beside today's:
