@@ -2,7 +2,8 @@
 
 Per authorization the pipeline is fixed: verify signatures, check the day
 key, authenticate the day token against the published check-table segment,
-recompute the table index, download the whole revocation table, scan one
+recompute the table index, fetch the whole revocation table (its body is
+downloaded only when it differs from the copy the client holds), scan one
 overflow list. It halts at the first failure with a classed error; a
 StatusResult comes back only when every authorization checks out.
 

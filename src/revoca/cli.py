@@ -135,7 +135,11 @@ def _table_client(args) -> service.TableClient:
 def _current_day(args, client: service.TableClient) -> int:
     if getattr(args, "current_day", None) is not None:
         return args.current_day
-    return client.params().day_from_timestamp(int(time.time()))
+    try:
+        document = client.params()
+    except LookupError as exc:  # as verifier_check classes it
+        raise actors.SnapshotUnavailable("no params document") from exc
+    return document.day_from_timestamp(int(time.time()))
 
 
 # pkg

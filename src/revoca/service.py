@@ -15,6 +15,9 @@ X-Reason header over HTTP).
 
 Connections are persistent HTTP/1.1 (the server closes one after
 HTTP_IDLE_SECONDS idle); a verifier makes the same requests as over fresh ones.
+Snapshot fetches are conditional: the client names the envelope digest of the
+copy it holds (If-None-Match, the ETag), and gets a body-less 304 while that
+is still the current version, so a body is downloaded only when it changed.
 
 The server caches only encoded check segments, in one process-wide LRU memo
 of SEGMENT_MEMO_SIZE entries keyed by the check file's path, its version
@@ -61,15 +64,16 @@ from .tables import (
 
 PARAMS_FILENAME = "params.doc"
 
-# parsed revocation tables a client keeps: today's and yesterday's, the days
-# a check with a past-day authorization fetches (perfbench/workloads.py
-# checks [day - 1, day])
+# days of parsed segments and revocation tables a client keeps: today's and
+# yesterday's, the days a check with a past-day authorization fetches
+# (perfbench/workloads.py checks [day - 1, day])
 TABLE_CACHE_DAYS = 2
 
 SEGMENT_MEMO_SIZE = 64  # every segment of four days at the default sigma = 16
 
 HTTP_TIMEOUT_SECONDS = 10.0
 HTTP_IDLE_SECONDS = 5.0  # the server closes a connection idle this long
+SERVE_POLL_SECONDS = 0.05  # how long serve_in_thread's shutdown() may wait
 
 ROUTES = (
     "/v1/params",
@@ -254,8 +258,9 @@ _SEGMENT_RE = re.compile(rf"/v1/days/{_NUMBER}/check/segments/{_NUMBER}")
 _REVOCATION_RE = re.compile(rf"/v1/days/{_NUMBER}/revocation")
 
 
-def resolve_path(store: PublicationStore, path: str) -> Tuple[int, Optional[str], bytes]:
-    """Single route resolver shared by every transport: (status, reason, body)."""
+def resolve_path(store: PublicationStore, path: str, held: Optional[bytes] = None) -> Tuple[int, Optional[str], bytes]:
+    """Single route resolver shared by every transport: (status, reason, body).
+    A snapshot whose envelope claims the digest `held` is (304, None, b"")."""
     if "?" in path or "#" in path:
         return 404, "invalid-path", b""
     try:
@@ -263,10 +268,10 @@ def resolve_path(store: PublicationStore, path: str) -> Tuple[int, Optional[str]
             return 200, None, store.params_bytes()
         match = _SEGMENT_RE.fullmatch(path)
         if match:
-            return 200, None, store.segment_bytes(int(match.group(1)), int(match.group(2)))
+            return _unless_held(store.segment_bytes(int(match.group(1)), int(match.group(2))), held)
         match = _REVOCATION_RE.fullmatch(path)
         if match:
-            return 200, None, store.revocation_bytes(int(match.group(1)))
+            return _unless_held(store.revocation_bytes(int(match.group(1))), held)
     except ResourceNotFound as exc:
         return 404, exc.reason, b""
     except CorruptSnapshotError:  # a damaged check file, or one in an older snapshot version
@@ -276,14 +281,18 @@ def resolve_path(store: PublicationStore, path: str) -> Tuple[int, Optional[str]
     return 404, "unknown-resource", b""
 
 
+def _unless_held(body: bytes, held: Optional[bytes]) -> Tuple[int, Optional[str], bytes]:
+    return (304, None, b"") if held == snapshot_digest(body) else (200, None, body)
+
+
 class InProcessTransport:
     """Same contract as the HTTP transport, straight from the store."""
 
     def __init__(self, store: PublicationStore):
         self.store = store
 
-    def get(self, path: str) -> Tuple[int, Optional[str], bytes]:
-        return resolve_path(self.store, path)
+    def get(self, path: str, held: Optional[bytes] = None) -> Tuple[int, Optional[str], bytes]:
+        return resolve_path(self.store, path, held)
 
 
 class HttpTransport:
@@ -295,18 +304,19 @@ class HttpTransport:
             raise ValueError("only plain http is supported")
         self._conn = http.client.HTTPConnection(parsed.hostname, parsed.port or 80, timeout=HTTP_TIMEOUT_SECONDS)
 
-    def get(self, path: str) -> Tuple[int, Optional[str], bytes]:
+    def get(self, path: str, held: Optional[bytes] = None) -> Tuple[int, Optional[str], bytes]:
+        headers = {} if held is None else {"If-None-Match": f'"{held.hex()}"'}
         reused = self._conn.sock is not None
         try:
-            return self._request(path)
+            return self._request(path, headers)
         except (ConnectionResetError, BrokenPipeError):  # RemoteDisconnected is a ConnectionResetError
             if not reused:
                 raise
-            return self._request(path)  # the server closed the idle connection; a GET is safe to repeat
+            return self._request(path, headers)  # the server closed the idle connection; a GET is safe to repeat
 
-    def _request(self, path: str) -> Tuple[int, Optional[str], bytes]:
+    def _request(self, path: str, headers: dict) -> Tuple[int, Optional[str], bytes]:
         try:
-            self._conn.request("GET", path)
+            self._conn.request("GET", path, headers=headers)
             response = self._conn.getresponse()  # closes the connection if the response says it will
             return response.status, response.headers.get("X-Reason"), response.read()
         except BaseException:
@@ -321,15 +331,18 @@ class TableClient:
     def __init__(self, transport):
         self.transport = transport
         self._params: Optional[PublicParamsDocument] = None
-        # day -> (envelope digest, parsed table), least recently used first;
-        # a newer body for a day replaces the older one
-        self._tables = OrderedDict()
+        # day -> {route path: (envelope digest, parsed snapshot)}, least
+        # recently used day first; a newer body for a path replaces the older
+        self._held = OrderedDict()
 
-    def _get(self, path: str) -> bytes:
+    def _get(self, path: str, held: Optional[bytes] = None) -> Optional[bytes]:
+        """The body, or None when the server answers that `held` is current."""
         try:
-            status, reason, body = self.transport.get(path)
+            status, reason, body = self.transport.get(path, held)
         except (OSError, http.client.HTTPException) as exc:  # refused, timed out, cut short
             raise ResourceNotFound("transport-failed") from exc
+        if status == 304 and held is not None:
+            return None
         if status != 200:
             raise ResourceNotFound(reason or "not-found")
         return body
@@ -345,26 +358,33 @@ class TableClient:
         self._params = document
 
     def fetch_segment(self, day: int, segment_index: int) -> Tuple[CheckSegment, int]:
-        body = self._get(f"/v1/days/{day}/check/segments/{segment_index}")
-        segment = snapshot_from_bytes(body)
-        if not isinstance(segment, CheckSegment) or segment.day != day:
-            raise CorruptSnapshotError("response is not the requested check segment")
-        return segment, len(body)
+        return self._fetch(day, f"/v1/days/{day}/check/segments/{segment_index}", CheckSegment)
 
     def fetch_revocation_table(self, day: int) -> Tuple[RevocationTableSnapshot, int]:
-        body = self._get(f"/v1/days/{day}/revocation")
-        # parsing is cached by the envelope digest, verified when the cached
-        # table was parsed; the transfer is still made and counted
-        digest = snapshot_digest(body)
-        cached, table = self._tables.pop(day, (None, None))
-        if cached != digest:
-            table = snapshot_from_bytes(body)
-            if not isinstance(table, RevocationTableSnapshot) or table.day != day:
-                raise CorruptSnapshotError("response is not the requested revocation table")
-        self._tables[day] = (digest, table)
-        if len(self._tables) > TABLE_CACHE_DAYS:
-            self._tables.popitem(last=False)
-        return table, len(body)
+        return self._fetch(day, f"/v1/days/{day}/revocation", RevocationTableSnapshot)
+
+    def _fetch(self, day: int, path: str, kind: type) -> tuple:
+        """(snapshot, body bytes received). The request names the envelope
+        digest of the copy held, verified when that copy was parsed; a 304
+        returns the copy for 0 bytes. A body is parsed only under another
+        digest, so a server that ignores the precondition costs no parse."""
+        held = self._held.get(day, {})
+        digest, snapshot = held.get(path, (None, None))
+        body = self._get(path, digest)
+        if body is not None and snapshot_digest(body) != digest:
+            snapshot = snapshot_from_bytes(body)
+            if not isinstance(snapshot, kind) or snapshot.day != day:
+                raise CorruptSnapshotError(f"response is not the requested {kind.__name__}")
+            held[path] = (snapshot_digest(body), snapshot)
+        self._held[day] = held
+        self._held.move_to_end(day)
+        if len(self._held) > TABLE_CACHE_DAYS:
+            self._held.popitem(last=False)
+        return snapshot, 0 if body is None else len(body)
+
+
+# the one If-None-Match form honoured: a single strong tag, a digest in lowercase hex
+_ENTITY_TAG = re.compile(r'"([0-9a-f]{64})"')
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -373,14 +393,19 @@ class _Handler(BaseHTTPRequestHandler):
     timeout = HTTP_IDLE_SECONDS  # an idle connection gives its thread back
 
     def do_GET(self):  # noqa: N802  (stdlib naming)
-        status, reason, body = resolve_path(self.server.store, self.path)
+        tags = self.headers.get_all("If-None-Match", [])
+        tag = _ENTITY_TAG.fullmatch(tags[0].strip(" \t")) if len(tags) == 1 else None  # any other form is ignored
+        status, reason, body = resolve_path(self.server.store, self.path, tag and bytes.fromhex(tag[1]))
         self.send_response(status)
         if reason:
             self.send_header("X-Reason", reason)
         if self.headers.get("Content-Length", "0") != "0" or "Transfer-Encoding" in self.headers:
             self.send_header("Connection", "close")  # no route reads a request body
-        self.send_header("Content-Type", "application/json" if self.path == "/v1/params" else "application/octet-stream")
-        self.send_header("Content-Length", str(len(body)))
+        if status == 304 or status == 200 and self.path != "/v1/params":  # a snapshot route
+            self.send_header("ETag", tag[0] if status == 304 else f'"{snapshot_digest(body).hex()}"')
+        if status != 304:  # a 304 has no body, and so no Content-Length
+            self.send_header("Content-Type", "application/json" if self.path == "/v1/params" else "application/octet-stream")
+            self.send_header("Content-Length", str(len(body)))
         self.end_headers()
         self.wfile.write(body)
 
@@ -413,7 +438,7 @@ def serve_in_thread(state_dir):
     """Serve on a free loopback port in a daemon thread: returns (server,
     base_url)."""
     server = serve(state_dir)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, args=(SERVE_POLL_SECONDS,), daemon=True)
     thread.start()
     host, port = server.server_address[:2]
     return server, f"http://{host}:{port}"

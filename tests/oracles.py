@@ -693,8 +693,8 @@ class RecordingTransport:
         self.transport = transport
         self.requests = []
 
-    def get(self, path: str):
-        status, reason, body = self.transport.get(path)
+    def get(self, path: str, held=None):
+        status, reason, body = self.transport.get(path, held)
         self.requests.append((path, status, len(body)))
         return status, reason, body
 

@@ -509,6 +509,21 @@ def test_check_against_a_dead_endpoint_is_snapshot_unavailable(setup_world, caps
     assert json.loads(err)["error"] == "snapshot-unavailable"
 
 
+def test_dead_endpoint_without_a_current_day_is_snapshot_unavailable(setup_world, capsys):
+    # without --current-day the day comes from the params document, fetched
+    # before the check: the same refused connection is classed the same way
+    pres = _present(setup_world, capsys)
+    with socket.socket() as sock:  # bound but not listening: every connection is refused
+        sock.bind(("127.0.0.1", 0))
+        code, _, err = run_cli(
+            "verifier", "check", "--presentation", str(pres), "--trust", str(setup_world["state"] / "trust.store"),
+            "--endpoint", f"http://127.0.0.1:{sock.getsockname()[1]}",
+            capsys=capsys,
+        )
+    assert code == 14
+    assert json.loads(err)["error"] == "snapshot-unavailable"
+
+
 def test_state_dir_env_fallback(setup_world, capsys, monkeypatch):
     monkeypatch.setenv("REVOCA_STATE_DIR", str(setup_world["state"]))
     code, out, _ = run_cli("issuer", "rollover", "--to-day", "+1", capsys=capsys)

@@ -23,6 +23,7 @@ from revoca.tables import (
     RevocationTableSnapshot,
     TableParams,
     read_snapshot,
+    snapshot_digest,
     snapshot_from_bytes,
     snapshot_to_bytes,
 )
@@ -101,7 +102,7 @@ class _Answer:
     def __init__(self, body: bytes):
         self.body = body
 
-    def get(self, path):
+    def get(self, path, held=None):
         return 200, None, self.body
 
 
@@ -464,7 +465,7 @@ class TestClient:
         assert len(table.slots) == 1 and len(hashes) == 1
         assert client.fetch_revocation_table(10)[0] is table and len(hashes) == 1
         store.revocation_path(10).write_bytes(forged)
-        assert client.fetch_revocation_table(10) == (table, len(forged))
+        assert client.fetch_revocation_table(10) == (table, 0)
         assert len(hashes) == 1
 
     def test_missing_day_raises_lookup(self, world):
@@ -670,6 +671,185 @@ class TestClient:
         a = client._get("/v1/days/10/revocation")
         b = client._get("/v1/days/10/revocation")
         assert a == b
+
+
+def _counting_parses(monkeypatch):
+    """The bodies the client parses from now on."""
+    parses = []
+
+    def counting(body):
+        parses.append(body)
+        return snapshot_from_bytes(body)
+
+    monkeypatch.setattr(service, "snapshot_from_bytes", counting)
+    return parses
+
+
+class _NotModified:
+    """Answers 304 to every snapshot request, whatever the client holds."""
+
+    def __init__(self, transport):
+        self.transport = transport
+
+    def get(self, path, held=None):
+        return self.transport.get(path) if path == "/v1/params" else (304, None, b"")
+
+
+class _IgnoresPreconditions:
+    """Forwards every request without the digest the client holds."""
+
+    def __init__(self, transport):
+        self.transport = transport
+
+    def get(self, path, held=None):
+        return self.transport.get(path)
+
+
+SNAPSHOT_ROUTES = ("/v1/days/10/check/segments/1", "/v1/days/10/revocation")
+
+
+class TestConditionalFetches:
+    def test_a_second_check_gets_304s_for_no_bytes_and_no_parse(self, world, monkeypatch):
+        with serving(world["store"].root) as (_, url):
+            transport = RecordingTransport(service.HttpTransport(url))
+            client = service.TableClient(transport)
+            client.prime_params(world["document"])
+            first = actors.verifier_check(_present_today(world), world["trust"], client, 10)
+            assert first.segment_bytes > 0 and first.table_bytes > 0
+            parses = _counting_parses(monkeypatch)
+            del transport.requests[:]
+            second = actors.verifier_check(_present_today(world), world["trust"], client, 10)
+        assert second.statuses == first.statuses == {10: ()}
+        assert (second.segment_bytes, second.table_bytes) == (0, 0)
+        assert [(status, size) for _, status, size in transport.requests] == [(304, 0), (304, 0)]
+        assert parses == []
+
+    def test_a_same_day_revoke_refetches_the_table_and_not_the_segment(self, world, monkeypatch):
+        issuer, store, vc_id = world["issuer"], world["store"], world["credential"].vc_id
+        transport = RecordingTransport(service.InProcessTransport(store))
+        client = service.TableClient(transport)
+        actors.verifier_check(_present_today(world), world["trust"], client, 10)
+        actors.issuer_revoke(issuer, vc_id, RevocationDocument(vc_id, "revoked", "", 10, 0), 10)
+        actors.issuer_publish(issuer, store)
+        parses = _counting_parses(monkeypatch)
+        del transport.requests[:]
+        result = actors.verifier_check(_present_today(world), world["trust"], client, 10)
+        assert [doc.status for doc in result.statuses[10]] == ["revoked"]
+        table = store.revocation_bytes(10)
+        assert (result.segment_bytes, result.table_bytes) == (0, len(table))
+        assert [status for _, status, _ in transport.requests] == [304, 200]
+        assert parses == [table]
+
+    def test_an_issue_rewrites_the_check_file_and_its_changed_segment_comes_back(self, world):
+        issuer, store = world["issuer"], world["store"]
+        transport = RecordingTransport(service.InProcessTransport(store))
+        client = service.TableClient(transport)
+        before = [client.fetch_segment(10, j)[0] for j in range(PARAMS.sigma)]
+        old = [store.segment_bytes(10, j) for j in range(PARAMS.sigma)]
+        actors.issuer_issue(issuer, "h-new", {}, 400, signing_public_key(generate_signing_key(world["rng"])))
+        actors.issuer_publish(issuer, store)
+        new = [store.segment_bytes(10, j) for j in range(PARAMS.sigma)]
+        del transport.requests[:]
+        after = [client.fetch_segment(10, j) for j in range(PARAMS.sigma)]
+        changed = [o != n for o, n in zip(old, new)]
+        assert any(changed)  # the new credential's digest is in one segment
+        assert [status for _, status, _ in transport.requests] == [200 if c else 304 for c in changed]
+        for (segment, size), held, body, c in zip(after, before, new, changed):
+            assert snapshot_to_bytes(segment) == body
+            assert size == (len(body) if c else 0)
+            assert c or segment is held  # a 304 returns the copy held
+
+    def test_both_transports_answer_alike_for_each_held_digest(self, world):
+        store = world["store"]
+        with serving(store.root) as (_, url):
+            inproc, http = service.InProcessTransport(store), service.HttpTransport(url)
+            for path in ("/v1/params", "/v1/days/77/revocation", "/v1/not/a/route") + SNAPSHOT_ROUTES:
+                current = snapshot_digest(inproc.get(path)[2])
+                for held in (None, current, bytes(32), b"\xff" * 32):
+                    answer = inproc.get(path, held)
+                    assert http.get(path, held) == answer
+                    conditional = path in SNAPSHOT_ROUTES and held == current
+                    assert answer == ((304, None, b"") if conditional else inproc.get(path))
+
+    def test_etag_on_200_and_304_and_no_content_length_on_304(self, world):
+        store = world["store"]
+        with serving(store.root) as (server, _):
+            conn = http.client.HTTPConnection(*server.server_address[:2], timeout=5)
+            for path in SNAPSHOT_ROUTES:
+                conn.request("GET", path)
+                response = conn.getresponse()
+                body = response.read()
+                tag = response.headers["ETag"]
+                assert (response.status, tag) == (200, f'"{snapshot_digest(body).hex()}"')
+                conn.request("GET", path, headers={"If-None-Match": tag})
+                response = conn.getresponse()
+                assert (response.status, response.read()) == (304, b"")
+                assert response.headers["ETag"] == tag and "Content-Length" not in response.headers
+                conn.putrequest("GET", path)
+                for _ in range(2):  # two fields make a list, which is ignored
+                    conn.putheader("If-None-Match", tag)
+                conn.endheaders()
+                response = conn.getresponse()
+                assert (response.status, response.read()) == (200, body)
+            conn.request("GET", "/v1/params", headers={"If-None-Match": tag})
+            response = conn.getresponse()  # never conditional, and no tag
+            assert (response.status, response.read(), response.headers["ETag"]) == (200, store.params_bytes(), None)
+            conn.close()
+
+    def test_arbitrary_if_none_match_values_get_a_body_or_an_exact_304(self, world):
+        # whatever the precondition, the answer is the full body, or for the
+        # exact current tag an empty 304; either way the connection stays in
+        # step, so the next request on it gets its own route's body
+        store = world["store"]
+        body = store.revocation_bytes(10)
+        current = f'"{snapshot_digest(body).hex()}"'
+        segment = store.segment_bytes(10, 1)
+        header_text = st.text(st.characters(min_codepoint=0x20, max_codepoint=0xFF, blacklist_characters="\x7f"))
+        values = st.one_of(
+            header_text,
+            st.text("0123456789abcdefABCDEF", min_size=60, max_size=68).map(lambda h: f'"{h}"'),
+            st.sampled_from([
+                current, current.upper(), f"W/{current}", f"{current}, {current}", f'"x", {current}', "*",
+                current[:-2] + '"', current[:-1] + '0"', current[1:-1], current + " ", " " + current,
+                f'"{snapshot_digest(segment).hex()}"', '"' + "g" * 64 + '"',
+            ]),
+            st.integers(66, 6000).map(lambda n: '"' + "a" * n + '"'),
+        )
+        with serving(store.root) as (server, _):
+            conn = http.client.HTTPConnection(*server.server_address[:2], timeout=5)
+
+            @settings(max_examples=150, deadline=None)
+            @given(values)
+            def probe(value):
+                conn.request("GET", "/v1/days/10/revocation", headers={"If-None-Match": value})
+                response = conn.getresponse()
+                answer = (response.status, response.read())
+                assert answer == ((304, b"") if value.strip(" \t") == current else (200, body))
+                conn.request("GET", "/v1/days/10/check/segments/1")
+                response = conn.getresponse()
+                assert (response.status, response.read()) == (200, segment)
+
+            probe()
+            conn.close()
+
+    def test_a_304_for_a_copy_never_held_is_snapshot_unavailable(self, world):
+        client = service.TableClient(_NotModified(service.InProcessTransport(world["store"])))
+        for fetch in (lambda: client.fetch_segment(10, 1), lambda: client.fetch_revocation_table(10)):
+            with pytest.raises(service.ResourceNotFound):
+                fetch()
+        with pytest.raises(actors.SnapshotUnavailable) as info:
+            actors.verifier_check(_present_today(world), world["trust"], client, 10)
+        assert isinstance(info.value.__cause__, service.ResourceNotFound)
+
+    def test_a_server_that_ignores_the_precondition_costs_bytes_not_parses(self, world, monkeypatch):
+        store = world["store"]
+        client = service.TableClient(_IgnoresPreconditions(service.InProcessTransport(store)))
+        parses = _counting_parses(monkeypatch)
+        results = [actors.verifier_check(_present_today(world), world["trust"], client, 10) for _ in range(3)]
+        table = store.revocation_bytes(10)
+        assert len(parses) == 2 and parses[1] == table  # each body parsed once: the segment, then the table
+        assert parses[0] in [store.segment_bytes(10, j) for j in range(PARAMS.sigma)]
+        assert {(r.segment_bytes, r.table_bytes) for r in results} == {(len(parses[0]), len(table))}
 
 
 def test_revocation_table_cheaper_than_sigma_full_check_downloads(tmp_path):
